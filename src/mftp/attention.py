@@ -3,7 +3,7 @@
 Two score matrices are computed from the same scaled dot products: a dense
 row-softmax ("every key gets some weight") and a sparse squared-ReLU path
 ("negative scores vanish, strong ones amplify"). A per-pair sigmoid gate,
-produced by an MLP over the concatenated query/key vectors, blends the two:
+produced by a two-layer MLP on each (query, key) pair, blends the two:
 
     A = G * dense + (1 - G) * sparse
 
@@ -13,9 +13,13 @@ causally over a patch sequence with a prepended summary token that may read
 every position; the spatial wrapper (ssam) runs it across agents with
 invalid agents masked out of the keys.
 
-The spatial forward uses correctly rounded (order-independent) reductions so
-its permutation equivariance over agents holds bit-exactly, not just to
-rounding error.
+The gate's first layer is linear, so it is applied to each query and each
+key once and the two halves are broadcast-added per pair; the [Lq, Lk, 2D]
+pair input is never built.
+
+The spatial forward sums every reduction in sorted order, which does not
+depend on the order of the summands, so its permutation equivariance over
+agents holds bit-exactly, not just to rounding error.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerNorm, Linear, Mlp
-from .tensor import Tensor, broadcast_to, concat, matmul, softmax
+from .tensor import Tensor, matmul, softmax
 
 
 @dataclass
@@ -86,6 +90,19 @@ def _mlp(x: Tensor, mlp: Mlp, exact_sum: bool) -> Tensor:
     return _linear(_linear(x, mlp.fc1, exact_sum).relu(), mlp.fc2, exact_sum)
 
 
+def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear, exact_sum: bool) -> Tensor:
+    """fc1 of concat(q_i, k_j) for every pair: [B, Lq, D], [B, Lk, D] -> [B, Lq, Lk, hidden].
+
+    By linearity this is q_i @ W[:D] + b (once per query) plus k_j @ W[D:]
+    (once per key), broadcast-added over the pairs.
+    """
+    B, Lq, D = q.shape
+    Lk = k.shape[1]
+    hq = matmul(q, fc1.w[:D], exact_sum=exact_sum) + fc1.b
+    hk = matmul(k, fc1.w[D:], exact_sum=exact_sum)
+    return hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, Lk, -1)
+
+
 def selective_attention(q: Tensor, k: Tensor, v: Tensor,
                         params: SelectiveAttentionParams,
                         mask: CausalMask | None = None,
@@ -99,8 +116,9 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     False columns are excluded from both score paths. Returns [B, Lq, D]
     (2-D in, 2-D out), optionally with an AttentionScores snapshot.
 
-    `exact_sum` makes every reduction correctly rounded, so the forward
-    output is bit-exactly equivariant to a permutation of the keys/queries.
+    `exact_sum` makes every reduction a sorted sum, whose result does not
+    depend on summand order, so the forward output is bit-exactly
+    equivariant to a permutation of the keys/queries.
     """
     squeeze = q.ndim == 2
     if squeeze:
@@ -130,10 +148,9 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     dense = softmax(scores, exact_sum=exact_sum)            # masked cols -> exactly 0
     sparse = scores.relu().square()                         # -inf -> exactly 0
 
-    # pairwise gate from concatenated (query, key) vectors, shared across heads
-    q_pair = broadcast_to(q.reshape(B, Lq, 1, D), (B, Lq, Lk, D))
-    k_pair = broadcast_to(k.reshape(B, 1, Lk, D), (B, Lq, Lk, D))
-    gate = _mlp(concat([q_pair, k_pair], axis=-1), params.gate_mlp, exact_sum).sigmoid()
+    # pairwise gate from each (query, key) pair, shared across heads
+    hidden = _gate_first_layer(q, k, params.gate_mlp.fc1, exact_sum).relu()
+    gate = _linear(hidden, params.gate_mlp.fc2, exact_sum).sigmoid()
     gate = gate.reshape(B, Lq, Lk)
     gate_h = gate.reshape(B, 1, Lq, Lk)
 

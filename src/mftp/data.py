@@ -91,15 +91,6 @@ class TargetFrame:
         out[..., 1] = s * x + c * y + self.origin[1]
         return out
 
-    def to_local(self, points: np.ndarray) -> np.ndarray:
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        x = points[..., 0] - self.origin[0]
-        y = points[..., 1] - self.origin[1]
-        out = np.empty(points.shape, dtype=np.float64)
-        out[..., 0] = c * x + s * y
-        out[..., 1] = -s * x + c * y
-        return out
-
 
 @dataclass
 class NormalizedScenario:

@@ -31,12 +31,6 @@ class PredictionSet:
     def num_modes(self) -> int:
         return self.trajs.shape[0]
 
-    def numpy_trajs(self) -> np.ndarray:
-        return self.trajs.data
-
-    def numpy_probs(self) -> np.ndarray:
-        return self.probs.data
-
 
 @dataclass
 class DecoderParams:

@@ -10,6 +10,7 @@ probability p of the endpoint-best mode.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,15 @@ def min_fde(pred: PredictionSet, gt: np.ndarray) -> float:
 
 def miss(pred: PredictionSet, gt: np.ndarray,
          threshold: float = DEFAULT_MISS_THRESHOLD) -> float:
-    """1.0 when every endpoint lands farther than the threshold, else 0.0."""
-    return 1.0 if min_fde(pred, gt) > threshold else 0.0
+    """1.0 when every endpoint lands farther than the threshold, else 0.0.
+
+    A non-finite min_fde raises ValueError: a NaN distance compares as not
+    farther than any threshold and would count as a hit.
+    """
+    d = min_fde(pred, gt)
+    if not math.isfinite(d):
+        raise ValueError(f"miss: non-finite min_fde {d!r}")
+    return 1.0 if d > threshold else 0.0
 
 
 def b_min_fde(pred: PredictionSet, gt: np.ndarray) -> float:

@@ -13,8 +13,7 @@ has to be an explicit reshape/broadcast_to at the call site.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,11 +49,21 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     return grad
 
 
-def _fsum_last(a: Array) -> Array:
-    """Correctly rounded sum over the last axis (order independent)."""
-    flat = a.reshape(-1, a.shape[-1])
-    out = np.fromiter((math.fsum(row) for row in flat), dtype=np.float64, count=flat.shape[0])
-    return out.reshape(a.shape[:-1])
+def _sorted_sum_last(a: Array) -> Array:
+    """Sum over the last axis in ascending order of the summands.
+
+    Sorting first fixes the order in which the values are added, so the
+    result does not depend on the order they arrive in. It is not correctly
+    rounded, and an inf - inf or an overflow gives nan or inf, not an error.
+
+    `a` is sorted in place, so callers pass an array they own. It must be
+    C-contiguous: numpy sums a contiguous last axis pairwise but a strided
+    one term by term, so the memory layout would change the rounding.
+    """
+    if not a.flags["C_CONTIGUOUS"]:
+        raise ValueError("_sorted_sum_last: array must be C-contiguous")
+    a.sort(axis=-1)
+    return a.sum(axis=-1)
 
 
 class Tensor:
@@ -420,9 +429,9 @@ def _has_integer_index(key) -> bool:
 def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     """Batched matrix product over the last two axes.
 
-    Leading axes broadcast numpy-style. With `exact_sum`, the contraction is
-    a correctly rounded fsum, which makes the result independent of summand
-    order (used where bit-exact permutation symmetry is asserted).
+    Leading axes broadcast numpy-style. With `exact_sum`, each contraction
+    is a sorted sum, so the result does not depend on the order of the
+    summands (used where bit-exact permutation symmetry is asserted).
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
@@ -433,8 +442,9 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     _broadcast_shape(a.shape[:-2], b.shape[:-2], "matmul (leading axes)")
 
     if exact_sum:
-        prod = a.data[..., :, :, None] * b.data[..., None, :, :]   # [..., n, k, m]
-        out_data = _fsum_last(np.moveaxis(prod, -2, -1))           # [..., n, m]
+        prod = np.multiply(a.data[..., :, None, :],                # [..., n, m, k]
+                           np.swapaxes(b.data, -1, -2)[..., None, :, :], order="C")
+        out_data = _sorted_sum_last(prod)                          # [..., n, m]
     else:
         out_data = np.matmul(a.data, b.data)
 
@@ -496,7 +506,10 @@ def softmax(x: Tensor, exact_sum: bool = False) -> Tensor:
     a = x
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    denom = _fsum_last(e)[..., None] if exact_sum else e.sum(axis=-1, keepdims=True)
+    if exact_sum:
+        denom = _sorted_sum_last(np.array(e, order="C"))[..., None]   # a sorted copy
+    else:
+        denom = e.sum(axis=-1, keepdims=True)
     out_data = e / denom
 
     def backward():
@@ -633,8 +646,3 @@ def grad_check_param(loss_fn: Callable[[], Tensor], param: Tensor,
 
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()

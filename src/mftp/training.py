@@ -117,18 +117,6 @@ def train_step(model: TrajectoryPredictor, optimizer: Adam,
     return report
 
 
-def evaluate_loss(model: TrajectoryPredictor, items: list[TrainingItem],
-                  config: Config) -> LossReport:
-    """Loss over a set of items without touching the parameters."""
-    trajs, probs = model.forward_frames([it.frame for it in items])
-    terms = []
-    for i, item in enumerate(items):
-        pred = PredictionSet(trajs=Tensor(trajs.data[i]), probs=Tensor(probs.data[i]))
-        terms.append(target_loss(pred, item.gt_local, config.model.patch_len))
-    _, report = total_loss(terms, config.training.loss_weights())
-    return report
-
-
 def train(config: Config, out_dir: str | None = None,
           log=None) -> TrainResult:
     """Run the full training loop; deterministic given the config seed."""

@@ -7,6 +7,7 @@ from mftp.attention import (
     AttentionBlockParams,
     CausalMask,
     SelectiveAttentionParams,
+    _gate_first_layer,
     cross_attention,
     selective_attention,
     ssam,
@@ -339,3 +340,37 @@ def test_grad_check_three_agents_three_patches():
             bp.attn.gate_mlp.fc1.w = orig
 
     assert grad_check(f_w, Tensor(bp.attn.gate_mlp.fc1.w.data)) <= 1e-4
+
+
+@pytest.mark.parametrize("n_agents", [32, 48])
+def test_ssam_permutation_equivariance_bitwise_batched_crowd(n_agents):
+    rng = np.random.default_rng(17 + n_agents)
+    bp = AttentionBlockParams.create(rng, dim=32, n_heads=4)
+    x = rng.normal(size=(8, n_agents, 32))
+    validity = rng.random((8, n_agents)) > rng.uniform(0.0, 0.6, size=(8, 1))
+    validity[:, 0] = True
+    base = ssam(Tensor(x), validity, bp).data
+    rows = np.arange(8)[:, None]
+    for _ in range(3):
+        perm = np.stack([rng.permutation(n_agents) for _ in range(8)])  # one per frame
+        permuted = ssam(Tensor(x[rows, perm]), validity[rows, perm], bp).data
+        assert np.array_equal(permuted, base[rows, perm])
+
+
+@pytest.mark.parametrize("exact_sum", [False, True])
+def test_factored_gate_matches_concatenated_pair_input(exact_sum):
+    rng = np.random.default_rng(18)
+    p = SelectiveAttentionParams.create(rng, dim=8, n_heads=2)
+    p.gate_mlp.fc1.b.data[:] = rng.normal(size=8)
+    q, k = rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 7, 8))
+    pairs = np.concatenate([np.broadcast_to(q[:, :, None], (3, 5, 7, 8)),
+                            np.broadcast_to(k[:, None], (3, 5, 7, 8))], axis=-1)
+    fc1, fc2 = p.gate_mlp.fc1, p.gate_mlp.fc2
+    first = pairs @ fc1.w.data + fc1.b.data                      # [3, 5, 7, 8]
+    got = _gate_first_layer(Tensor(q), Tensor(k), fc1, exact_sum).data
+    assert np.max(np.abs(got - first)) <= 1e-12
+
+    gate = _sigmoid(np.maximum(first, 0.0) @ fc2.w.data + fc2.b.data)[..., 0]
+    _, snap = selective_attention(Tensor(q), Tensor(k), Tensor(k), p,
+                                  exact_sum=exact_sum, return_scores=True)
+    assert np.max(np.abs(snap.gate - gate)) <= 1e-12

@@ -202,3 +202,19 @@ def test_prediction_file_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"predictions": [{"scenario": "s"}]}))
     with pytest.raises(ValueError, match="record 0"):
         load_predictions(str(path))
+
+
+def test_eval_rejects_nan_endpoint(tiny_setup, capsys):
+    cfg, _, scn_path, tmp_path = tiny_setup
+    records = []
+    for s in generate_synthetic(cfg.data.synthetic, seed=0):
+        for t in s.targets:
+            traj = s.agents[t].future[None, :, :2].copy()
+            traj[0, -1] = np.nan
+            records.append((s.scenario_id, t,
+                            PredictionSet(trajs=Tensor(traj), probs=Tensor([1.0]))))
+    pred_path = str(tmp_path / "nan_pred.json")
+    write_predictions(pred_path, records)
+    assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
+                 "--k", "1"]) == 2
+    assert "non-finite min_fde" in capsys.readouterr().err

@@ -133,3 +133,13 @@ def test_report_text_and_csv_shapes():
     csv = rep.per_target_csv()
     assert csv.splitlines()[0] == "scenario,target,min_ade,min_fde,miss,b_min_fde"
     assert csv.splitlines()[1].startswith("sc,0,")
+
+
+def test_miss_rejects_nan_endpoint():
+    gt = np.zeros((4, 2))
+    traj = np.zeros((2, 4, 2))
+    traj[:, -1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        miss(_pred(traj), gt)
+    with pytest.raises(ValueError, match="non-finite"):
+        score_target(_pred(traj), gt, 2, 2.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from mftp.tensor import (
     ComplexTensor,
+    _sorted_sum_last,
     Tensor,
     broadcast_to,
     concat,
@@ -236,3 +239,34 @@ def test_concat_slice_inverse_property(n, m, seed):
     t = Tensor(a)
     left, right = t[:, :cut], t[:, cut:]
     assert np.array_equal(concat([left, right], axis=1).data, a)
+
+
+_finite = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=40))
+def test_sorted_sum_order_independent_and_matches_fsum(data, rows, n):
+    values = data.draw(st.lists(_finite, min_size=rows * n, max_size=rows * n))
+    a = np.array(values).reshape(rows, n)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    out = _sorted_sum_last(a.copy())                    # sorts its argument in place
+    assert np.array_equal(_sorted_sum_last(a[:, perm].copy()), out)
+    # math.fsum is the correctly rounded oracle. The bound is relative to
+    # sum(|x|), the scale of any floating-point summation error; under
+    # cancellation no sum that is not correctly rounded is close to the
+    # result itself.
+    for row, got in zip(a, out):
+        assert abs(got - math.fsum(row)) <= 1e-12 * math.fsum(np.abs(row))
+
+
+def test_sorted_sum_gives_nan_on_inf_minus_inf():
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan(_sorted_sum_last(np.array([np.inf, 1.0, -np.inf])))
+        assert _sorted_sum_last(np.array([1e308, 1e308])) == np.inf
+
+
+def test_sorted_sum_rejects_strided_rows():
+    # a strided last axis would be summed term by term, not pairwise
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _sorted_sum_last(np.ones((3, 4)).T)
