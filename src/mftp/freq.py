@@ -1,24 +1,27 @@
 """Frequency-domain mixture-of-experts filter over embedded histories.
 
-The embedded sequence [B, T, C] is transformed along time with a radix-2
-real-input FFT, the half spectrum is split into contiguous frequency bands
-(one band per expert), and a gating network scores each expert from the
-channel-averaged spectral magnitude. The output spectrum is the gate-weighted
-sum of the band-masked spectra, taken back to the time domain.
+The embedded sequence [B, T, C] is transformed along time into its real half
+spectrum, the spectrum is split into contiguous frequency bands (one band per
+expert), and a gating network scores each expert from the channel-averaged
+spectral magnitude. The output spectrum is the gate-weighted sum of the
+band-masked spectra, taken back to the time domain.
 
-The FFT itself is built from tape ops (gathers, slices, constant twiddle
-multiplies), so the whole filter is differentiable end to end without any
-complex-valued node: spectra travel as ComplexTensor real/imag pairs.
+The transforms are constant real DFT matrices applied with `matmul`, so the
+whole filter is differentiable end to end without any complex-valued node:
+spectra travel as ComplexTensor real/imag pairs. A sequence whose length is
+not a power of two is transformed at the padded length, with the padding and
+the truncation back folded into the matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ComplexTensor, Tensor, broadcast_to, concat, matmul, softmax
+from .tensor import ComplexTensor, Tensor, matmul, softmax
 
 MAGNITUDE_EPS = 1e-12   # smooths d|z|/dz at the origin
 
@@ -30,66 +33,53 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+@functools.lru_cache(maxsize=None)
+def _dft_operators(t_len: int, t_padded: int) -> tuple[np.ndarray, ...]:
+    """Read-only real DFT matrices for a length-`t_len` signal padded to `t_padded`.
 
-
-def _fft_stages(re: Tensor, im: Tensor, sign: float) -> tuple[Tensor, Tensor]:
-    """Iterative Cooley-Tukey butterflies along axis 1 of [B, T, C] tensors."""
-    B, T, C = re.shape
-    key = (slice(None), _bit_reverse_indices(T), slice(None))
-    re, im = re[key], im[key]
-
-    size = 2
-    while size <= T:
-        half = size // 2
-        blocks = T // size
-        re4 = re.reshape(B, blocks, size, C)
-        im4 = im.reshape(B, blocks, size, C)
-        e_re, o_re = re4[:, :, :half, :], re4[:, :, half:, :]
-        e_im, o_im = im4[:, :, :half, :], im4[:, :, half:, :]
-
-        ang = sign * 2.0 * math.pi * np.arange(half) / size
-        w_re = Tensor(np.cos(ang).reshape(half, 1))
-        w_im = Tensor(np.sin(ang).reshape(half, 1))
-
-        t_re = o_re * w_re - o_im * w_im
-        t_im = o_re * w_im + o_im * w_re
-        re = concat([e_re + t_re, e_re - t_re], axis=2).reshape(B, T, C)
-        im = concat([e_im + t_im, e_im - t_im], axis=2).reshape(B, T, C)
-        size *= 2
-    return re, im
+    Returns (cos, neg_sin, inv_re, inv_im). The forward pair is [F, t_len]
+    with F = t_padded/2 + 1. The signal is right-padded with its final value,
+    so the last column sums the terms of every step from t_len - 1 on. The
+    inverse pair is [t_len, F]. It rebuilds the real signal from the half
+    spectrum, counting each bin other than DC and Nyquist twice for its mirror
+    image, and keeps only the first `t_len` steps.
+    """
+    n_bins = t_padded // 2 + 1
+    steps = np.arange(t_padded)
+    ang = 2.0 * math.pi * (np.outer(np.arange(n_bins), steps) % t_padded) / t_padded
+    pad = np.eye(t_len)[np.minimum(steps, t_len - 1)]          # [t_padded, t_len]
+    weight = np.full((n_bins, 1), 2.0 / t_padded)
+    weight[0] = weight[-1] = 1.0 / t_padded                    # DC and Nyquist: no mirror
+    ops = (np.cos(ang) @ pad, -np.sin(ang) @ pad,
+           (weight * np.cos(ang)).T[:t_len].copy(), (-weight * np.sin(ang)).T[:t_len].copy())
+    for op in ops:
+        op.flags.writeable = False
+    return ops
 
 
 def rfft(x: Tensor) -> ComplexTensor:
-    """Unnormalized half spectrum (bins 0..T/2) of a real [B, T, C] sequence."""
+    """Unnormalized half spectrum (bins 0..T/2) of a real [B, T, C] sequence.
+
+    Computed as two matmuls with the constant cos and -sin DFT matrices.
+    """
     B, T, C = x.shape
     if T < 2 or T & (T - 1):
         raise ValueError(f"rfft: time length {T} is not a power of two")
-    re, im = _fft_stages(x, Tensor(np.zeros((B, T, C))), sign=-1.0)
-    half = T // 2 + 1
-    return ComplexTensor(re[:, :half, :], im[:, :half, :])
+    cos, neg_sin, _, _ = _dft_operators(T, T)
+    return ComplexTensor(matmul(cos, x), matmul(neg_sin, x))
 
 
 def irfft(s: ComplexTensor, t_len: int) -> Tensor:
-    """Inverse of `rfft`; requires F == t_len/2 + 1 for the stated length."""
+    """Inverse of `rfft`; requires F == t_len/2 + 1 for the stated length.
+
+    Computed as matmuls with the constant inverse DFT matrices, which weight
+    each bin other than DC and Nyquist twice for its mirror image.
+    """
     B, F, C = s.shape
     if t_len // 2 + 1 != F or t_len < 2 or t_len & (t_len - 1):
         raise ValueError(f"irfft: spectrum with {F} bins does not invert to length {t_len}")
-    if t_len > 2:
-        mirror = (slice(None), np.arange(F - 2, 0, -1), slice(None))
-        full_re = concat([s.re, s.re[mirror]], axis=1)
-        full_im = concat([s.im, -s.im[mirror]], axis=1)
-    else:
-        full_re, full_im = s.re, s.im
-    re, _ = _fft_stages(full_re, full_im, sign=+1.0)
-    return re * (1.0 / t_len)
+    _, _, inv_re, inv_im = _dft_operators(t_len, t_len)
+    return matmul(inv_re, s.re) + matmul(inv_im, s.im)
 
 
 # -- expert banding ------------------------------------------------------------------
@@ -178,20 +168,16 @@ def gate(spectrum: ComplexTensor, params: FreqMoEParams) -> Tensor:
 def moe_filter(x: Tensor, params: FreqMoEParams) -> Tensor:
     """Gate-weighted band filtering of [B, T, C]; shape-preserving.
 
-    Sequences whose length is not a power of two are right-padded with their
-    final value for the transform and truncated back afterwards.
+    Sequences shorter than the configured power-of-two length are transformed
+    as if right-padded with their final value and truncated back afterwards;
+    both steps live in the DFT matrices.
     """
     B, T, C = x.shape
-    padded = x
-    if T != params.t_padded:
-        if T > params.t_padded:
-            raise ValueError(f"moe_filter: length {T} exceeds configured {params.t_padded}")
-        tail = broadcast_to(x[:, T - 1: T, :], (B, params.t_padded - T, C))
-        padded = concat([x, tail], axis=1)
-
-    spectrum = rfft(padded)                              # [B, F, C]
+    if T > params.t_padded:
+        raise ValueError(f"moe_filter: length {T} exceeds configured {params.t_padded}")
+    cos, neg_sin, inv_re, inv_im = _dft_operators(T, params.t_padded)
+    spectrum = ComplexTensor(matmul(cos, x), matmul(neg_sin, x))   # [B, F, C]
     weights = gate(spectrum, params)                     # [B, N_e]
     per_bin = weights[:, params.bin_owner]               # [B, F] gather over experts
     filtered = spectrum.scale(per_bin.reshape(B, params.n_bins, 1))
-    y = irfft(filtered, params.t_padded)
-    return y[:, :T, :] if T != params.t_padded else y
+    return matmul(inv_re, filtered.re) + matmul(inv_im, filtered.im)

@@ -133,8 +133,26 @@ def _aggregate(rows: list[TargetMetrics], k: int, threshold: float) -> MetricRep
     )
 
 
+def _check_finite(pred: PredictionSet, scenario_id: str, target: int) -> None:
+    """Raise ValueError naming the first non-finite probability or trajectory value."""
+    trajs, probs = _trajs_probs(pred)
+    where = f"scenario {scenario_id!r} target {target}"
+    bad = np.flatnonzero(~np.isfinite(probs))
+    if bad.size:
+        raise ValueError(f"{where}: mode {bad[0]} has non-finite probability "
+                         f"{float(probs[bad[0]])!r}")
+    bad = np.argwhere(~np.isfinite(trajs))
+    if bad.size:
+        mode, step = int(bad[0][0]), int(bad[0][1])
+        endpoint = " (non-finite min_fde)" if step == trajs.shape[1] - 1 else ""
+        raise ValueError(f"{where}: mode {mode} step {step} of the trajectory is "
+                         f"non-finite{endpoint}")
+
+
 def score_target(pred: PredictionSet, gt: np.ndarray, k: int, threshold: float,
                  scenario_id: str = "", target: int = 0) -> TargetMetrics:
+    """Metrics of one target's top-k modes; non-finite inputs raise ValueError."""
+    _check_finite(pred, scenario_id, target)
     sub = top_k_modes(pred, k)
     return TargetMetrics(
         scenario_id=scenario_id,

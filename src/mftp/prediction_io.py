@@ -3,7 +3,9 @@
     {"predictions": [{"scenario": str, "target": int,
                       "modes": [{"prob": float, "traj": [[x, y], ...]}]}]}
 
-Trajectories are global-frame meters; probabilities per record sum to 1.
+Trajectories are global-frame meters. Loading rejects a record whose
+probabilities are not one finite, non-negative value per mode summing to 1,
+and a record that repeats an earlier (scenario, target) pair.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 
 from .decoder import PredictionSet
 from .tensor import Tensor
+
+PROB_SUM_TOL = 1e-6   # per-record probabilities must sum to 1 within this
 
 
 def write_predictions(path: str,
@@ -51,5 +55,18 @@ def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
             raise ValueError(f"{path}: malformed prediction record {i} ({exc})") from None
         if trajs.ndim != 3 or trajs.shape[-1] != 2:
             raise ValueError(f"{path}: record {i} trajectories must be [K, T, 2]")
+        if probs.shape != trajs.shape[:1]:
+            raise ValueError(f"{path}: record {i} has {probs.size} probabilities "
+                             f"for {trajs.shape[0]} modes")
+        bad = np.flatnonzero(~(np.isfinite(probs) & (probs >= 0.0)))
+        if bad.size:
+            raise ValueError(f"{path}: record {i} mode {bad[0]} probability "
+                             f"{float(probs[bad[0]])!r} is not finite and non-negative")
+        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"{path}: record {i} probabilities sum to "
+                             f"{float(probs.sum())!r}, not 1")
+        if (sid, target) in out:
+            raise ValueError(f"{path}: record {i} repeats scenario {sid!r} "
+                             f"target {target}")
         out[(sid, target)] = PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs))
     return out

@@ -117,9 +117,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -579,9 +576,6 @@ class ComplexTensor:
 
     def scale(self, w: Tensor) -> "ComplexTensor":
         return ComplexTensor(self.re * w, self.im * w)
-
-    def numpy(self) -> np.ndarray:
-        return self.re.data + 1j * self.im.data
 
 
 # -- gradient verification ---------------------------------------------------------

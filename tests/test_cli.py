@@ -218,3 +218,83 @@ def test_eval_rejects_nan_endpoint(tiny_setup, capsys):
     assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
                  "--k", "1"]) == 2
     assert "non-finite min_fde" in capsys.readouterr().err
+
+
+def _gt_records(cfg):
+    """One exact single-mode prediction per target."""
+    return [(s.scenario_id, t, PredictionSet(trajs=Tensor(s.agents[t].future[None, :, :2]),
+                                             probs=Tensor([1.0])))
+            for s in generate_synthetic(cfg.data.synthetic, seed=0) for t in s.targets]
+
+
+def test_eval_rejects_nan_inside_trajectory(tiny_setup, capsys):
+    cfg, _, scn_path, tmp_path = tiny_setup
+    records = _gt_records(cfg)
+    for _, _, pred in records:
+        pred.trajs.data[0, 1, 0] = np.nan
+    pred_path = str(tmp_path / "nan_inside.json")
+    write_predictions(pred_path, records)
+    assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
+                 "--k", "1"]) == 2
+    assert "mode 0 step 1 of the trajectory is non-finite" in capsys.readouterr().err
+
+
+def _write_doc(tmp_path, records):
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps({"predictions": records}))
+    return str(path)
+
+
+def _record(scenario="sc", target=1, probs=(0.25, 0.75)):
+    return {"scenario": scenario, "target": target,
+            "modes": [{"prob": p, "traj": [[0.0, 0.0], [1.0, 1.0]]} for p in probs]}
+
+
+@pytest.mark.parametrize("prob,match", [
+    (-0.5, r"record 1 mode 0 probability -0.5 is not finite and non-negative"),
+    (float("nan"), r"record 1 mode 0 probability nan is not finite"),
+    (float("inf"), r"record 1 mode 0 probability inf is not finite"),
+])
+def test_prediction_file_rejects_bad_probability(tmp_path, prob, match):
+    path = _write_doc(tmp_path, [_record(), _record(target=2, probs=(prob, 1.0))])
+    with pytest.raises(ValueError, match=match) as err:
+        load_predictions(path)
+    assert path in str(err.value)
+
+
+def test_prediction_file_rejects_probabilities_not_summing_to_one(tmp_path):
+    path = _write_doc(tmp_path, [_record(), _record(target=2, probs=(0.5, 0.8))])
+    with pytest.raises(ValueError, match=r"record 1 probabilities sum to 1.3"):
+        load_predictions(path)
+
+
+def test_prediction_file_rejects_probability_count_mismatch(tmp_path):
+    rec = _record(probs=(1.0,))
+    rec["modes"][0]["prob"] = [0.5, 0.5]        # two probabilities for one mode
+    path = _write_doc(tmp_path, [rec])
+    with pytest.raises(ValueError, match=r"record 0 has 2 probabilities for 1 modes"):
+        load_predictions(path)
+
+
+def test_prediction_file_rejects_duplicate_record(tmp_path):
+    path = _write_doc(tmp_path, [_record(), _record(target=2), _record()])
+    with pytest.raises(ValueError, match=r"record 2 repeats scenario 'sc' target 1"):
+        load_predictions(path)
+
+
+def test_eval_rejects_negative_probability_and_duplicate(tiny_setup, capsys):
+    cfg, _, scn_path, tmp_path = tiny_setup
+    records = _gt_records(cfg)
+    sid, target, pred = records[0]
+    two_modes = PredictionSet(trajs=Tensor(np.concatenate([pred.trajs.data] * 2)),
+                              probs=Tensor([-0.5, 1.5]))
+    pred_path = str(tmp_path / "negative.json")
+    write_predictions(pred_path, [(sid, target, two_modes)] + records[1:])
+    assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
+                 "--k", "1"]) == 2
+    assert "record 0 mode 0 probability -0.5" in capsys.readouterr().err
+
+    write_predictions(pred_path, records + records[:1])
+    assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
+                 "--k", "1"]) == 2
+    assert f"record {len(records)} repeats" in capsys.readouterr().err

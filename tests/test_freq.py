@@ -239,3 +239,33 @@ def test_moe_filter_gradients_wrt_input_and_gate():
 
 def test_next_pow2():
     assert [next_pow2(n) for n in (1, 2, 3, 6, 8, 9)] == [1, 2, 4, 8, 8, 16]
+
+
+def _edge_padded(x, t_padded):
+    return np.concatenate([x, np.full(t_padded - len(x), x[-1])])
+
+
+def test_moe_filter_padded_one_hot_gating_is_ideal_bandpass():
+    params = FreqMoEParams.create(t_len=6, n_experts=3)
+    assert params.t_padded == 8
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=6)
+    for m in params.masks:
+        params.gate_b.data[:] = -1e4
+        params.gate_b.data[m.index] = 1e4       # force a one-hot gate
+        y = moe_filter(Tensor(x.reshape(1, 6, 1)), params).data[0, :, 0]
+        want = naive_bandpass(_edge_padded(x, 8), m.lo, m.hi)[:6]
+        assert np.max(np.abs(y - want)) <= 1e-9
+
+
+def test_moe_filter_padded_gradient_wrt_input():
+    params = FreqMoEParams.create(t_len=6, n_experts=3)
+    rng = np.random.default_rng(12)
+    params.gate_w.data[:] = rng.normal(size=params.gate_w.shape) * 0.3
+    x0 = rng.normal(size=(2, 6, 2))
+    target = rng.normal(size=(2, 6, 2))
+
+    def loss(t: Tensor) -> Tensor:
+        return (moe_filter(t, params) - Tensor(target)).square().mean()
+
+    assert grad_check(loss, Tensor(x0)) <= 1e-4

@@ -143,3 +143,18 @@ def test_miss_rejects_nan_endpoint():
         miss(_pred(traj), gt)
     with pytest.raises(ValueError, match="non-finite"):
         score_target(_pred(traj), gt, 2, 2.0)
+
+
+def test_score_target_rejects_nan_inside_trajectory():
+    gt = np.zeros((4, 2))
+    traj = np.zeros((1, 4, 2))
+    traj[0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"scenario 'sc' target 3: mode 0 step 1"):
+        score_target(_pred(traj, [1.0]), gt, 1, 2.0, "sc", 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_score_target_rejects_non_finite_probability(bad):
+    gt = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"scenario 'sc' target 1: mode 1 .*probability"):
+        score_target(_pred(np.zeros((2, 4, 2)), [1.0, bad]), gt, 1, 2.0, "sc", 1)
