@@ -17,9 +17,10 @@ The gate's first layer is linear, so it is applied to each query and each
 key once and the two halves are broadcast-added per pair; the [Lq, Lk, 2D]
 pair input is never built.
 
-The spatial forward sums every reduction in sorted order, which does not
-depend on the order of the summands, so its permutation equivariance over
-agents holds bit-exactly, not just to rounding error.
+The spatial forward sorts its two sums over keys (softmax denominator and
+blended @ v); every other contraction is over channels, and `matmul` rounds
+each row alike wherever it sits. So its permutation equivariance over agents
+holds bit-exactly, not just to rounding error.
 """
 
 from __future__ import annotations
@@ -82,15 +83,7 @@ class SelectiveAttentionParams:
                 **self.ln.named(f"{prefix}.ln")}
 
 
-def _linear(x: Tensor, lin: Linear, exact_sum: bool) -> Tensor:
-    return matmul(x, lin.w, exact_sum=exact_sum) + lin.b
-
-
-def _mlp(x: Tensor, mlp: Mlp, exact_sum: bool) -> Tensor:
-    return _linear(_linear(x, mlp.fc1, exact_sum).relu(), mlp.fc2, exact_sum)
-
-
-def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear, exact_sum: bool) -> Tensor:
+def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear) -> Tensor:
     """fc1 of concat(q_i, k_j) for every pair: [B, Lq, D], [B, Lk, D] -> [B, Lq, Lk, hidden].
 
     By linearity this is q_i @ W[:D] + b (once per query) plus k_j @ W[D:]
@@ -98,8 +91,8 @@ def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear, exact_sum: bool) -> Ten
     """
     B, Lq, D = q.shape
     Lk = k.shape[1]
-    hq = matmul(q, fc1.w[:D], exact_sum=exact_sum) + fc1.b
-    hk = matmul(k, fc1.w[D:], exact_sum=exact_sum)
+    hq = matmul(q, fc1.w[:D]) + fc1.b
+    hk = matmul(k, fc1.w[D:])
     return hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, Lk, -1)
 
 
@@ -112,13 +105,13 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     """Blend dense and sparse attention over projected queries/keys/values.
 
     q: [B, Lq, D] (or [Lq, D]); k, v: [B, Lk, D]. `mask` is an additive
-    causal mask over (Lq, Lk); `key_mask` a [B, Lk] validity array whose
-    False columns are excluded from both score paths. Returns [B, Lq, D]
+    causal mask over (Lq, Lk); `key_mask` a [Lk] or [B, Lk] validity array
+    whose False columns are excluded from both score paths. Returns [B, Lq, D]
     (2-D in, 2-D out), optionally with an AttentionScores snapshot.
 
-    `exact_sum` makes every reduction a sorted sum, whose result does not
-    depend on summand order, so the forward output is bit-exactly
-    equivariant to a permutation of the keys/queries.
+    `exact_sum` sorts the two sums over keys (softmax denominator and
+    blended @ v), so the output is bit-exactly equivariant to a permutation
+    of the keys/queries.
     """
     squeeze = q.ndim == 2
     if squeeze:
@@ -134,14 +127,13 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     kh = k.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3)
 
-    scores = matmul(qh, kh.transpose(0, 1, 3, 2), exact_sum=exact_sum) \
-        * (1.0 / math.sqrt(dh))
+    scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
     additive = np.zeros((1, 1, Lq, Lk))
     if mask is not None:
         additive = additive + mask.m
     if key_mask is not None:
         col = np.where(np.asarray(key_mask, dtype=bool), 0.0, -np.inf)
-        additive = additive + col.reshape(B, 1, 1, Lk)
+        additive = additive + np.broadcast_to(col, (B, Lk)).reshape(B, 1, 1, Lk)
     if mask is not None or key_mask is not None:
         scores = scores + Tensor(additive)
 
@@ -149,15 +141,15 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     sparse = scores.relu().square()                         # -inf -> exactly 0
 
     # pairwise gate from each (query, key) pair, shared across heads
-    hidden = _gate_first_layer(q, k, params.gate_mlp.fc1, exact_sum).relu()
-    gate = _linear(hidden, params.gate_mlp.fc2, exact_sum).sigmoid()
+    hidden = _gate_first_layer(q, k, params.gate_mlp.fc1).relu()
+    gate = params.gate_mlp.fc2(hidden).sigmoid()
     gate = gate.reshape(B, Lq, Lk)
     gate_h = gate.reshape(B, 1, Lq, Lk)
 
     blended = gate_h * dense + (1.0 - gate_h) * sparse
     ctx = matmul(blended, vh, exact_sum=exact_sum)          # [B, H, Lq, dh]
     merged = ctx.transpose(0, 2, 1, 3).reshape(B, Lq, D)
-    out = params.ln(q + _linear(merged, params.out_proj, exact_sum))
+    out = params.ln(q + params.out_proj(merged))
 
     if squeeze:
         out = out.reshape(Lq, D)
@@ -203,12 +195,10 @@ class AttentionBlockParams:
 def _block(x_q: Tensor, x_kv: Tensor, params: AttentionBlockParams,
            mask: CausalMask | None, key_mask: np.ndarray | None,
            exact_sum: bool = False) -> Tensor:
-    h = selective_attention(_linear(x_q, params.w_q, exact_sum),
-                            _linear(x_kv, params.w_k, exact_sum),
-                            _linear(x_kv, params.w_v, exact_sum),
+    h = selective_attention(params.w_q(x_q), params.w_k(x_kv), params.w_v(x_kv),
                             params.attn, mask=mask, key_mask=key_mask,
                             exact_sum=exact_sum)
-    return params.ffn_ln(h + _mlp(h, params.ffn, exact_sum))
+    return params.ffn_ln(h + params.ffn(h))
 
 
 def tsam(patches: Tensor, params: AttentionBlockParams) -> Tensor:
@@ -228,24 +218,10 @@ def ssam(agents: Tensor, validity: np.ndarray | None,
     agents: [N, C] or [B, N, C]; validity: matching [N] / [B, N] booleans or
     None for all-valid. Equivariant to agent permutation, bit-exactly.
     """
-    key_mask = None
-    if validity is not None:
-        key_mask = np.asarray(validity, dtype=bool)
-        if agents.ndim == 3 and key_mask.ndim == 1:
-            key_mask = np.broadcast_to(key_mask, (agents.shape[0], key_mask.shape[0]))
-        if agents.ndim == 2:
-            key_mask = key_mask.reshape(1, -1)
-    return _block(agents, agents, params, None, key_mask, exact_sum=True)
+    return _block(agents, agents, params, None, validity, exact_sum=True)
 
 
 def cross_attention(queries: Tensor, context: Tensor, validity: np.ndarray | None,
                     params: AttentionBlockParams) -> Tensor:
     """Selective cross attention: mode queries over agent context."""
-    key_mask = None
-    if validity is not None:
-        key_mask = np.asarray(validity, dtype=bool)
-        if queries.ndim == 3 and key_mask.ndim == 1:
-            key_mask = np.broadcast_to(key_mask, (queries.shape[0], key_mask.shape[0]))
-        if queries.ndim == 2:
-            key_mask = key_mask.reshape(1, -1)
-    return _block(queries, context, params, None, key_mask)
+    return _block(queries, context, params, None, validity)

@@ -115,6 +115,16 @@ def _validate_scenario(s: Scenario, where: str) -> None:
         if a.future.shape != (t_f, 3):
             raise ScenarioFormatError(
                 f"{where}: agent {i} future shape {a.future.shape} != ({t_f}, 3)")
+    for name in ("history", "future"):
+        rows = np.stack([getattr(a, name) for a in s.agents])         # [N, T, 3]
+        valid = rows[..., 2]
+        for bad, why in (((valid != 0.0) & (valid != 1.0), "valid is not 0 or 1"),
+                         ((valid == 1.0) & ~np.isfinite(rows[..., :2]).all(axis=-1),
+                          "non-finite x/y on a valid state")):
+            if bad.any():
+                i, t = np.argwhere(bad)[0]
+                raise ScenarioFormatError(f"{where}, agent {i}, {name} step {t}: {why} "
+                                          f"(row {rows[i, t].tolist()})")
     for t in s.targets:
         if not 0 <= t < len(s.agents):
             raise ScenarioFormatError(f"{where}: target index {t} out of range")
@@ -147,6 +157,7 @@ def load_scenarios(path: str) -> list[Scenario]:
         raise ScenarioFormatError(f"{path}: missing top-level 'scenarios' list")
 
     out = []
+    seen: dict[str, int] = {}
     for si, rec in enumerate(doc["scenarios"]):
         where = f"{path}: scenario {si} (id={rec.get('id', '?')})"
         agents = [_track_from_record(a, f"{where}, agent {ai}")
@@ -157,6 +168,11 @@ def load_scenarios(path: str) -> list[Scenario]:
             agents=agents,
             targets=[int(t) for t in rec.get("targets", [])],
         )
+        if not (math.isfinite(s.dt) and s.dt > 0.0):
+            raise ScenarioFormatError(f"{where}: dt {s.dt!r} is not finite and positive")
+        if s.scenario_id in seen:
+            raise ScenarioFormatError(f"{where}: id repeats scenario {seen[s.scenario_id]}")
+        seen[s.scenario_id] = si
         _validate_scenario(s, where)
         out.append(s)
     return out

@@ -133,10 +133,14 @@ def _aggregate(rows: list[TargetMetrics], k: int, threshold: float) -> MetricRep
     )
 
 
-def _check_finite(pred: PredictionSet, scenario_id: str, target: int) -> None:
-    """Raise ValueError naming the first non-finite probability or trajectory value."""
+def _check_prediction(pred: PredictionSet, gt: np.ndarray, scenario_id: str,
+                      target: int) -> None:
+    """Raise ValueError on a step count unlike gt's or the first non-finite value."""
     trajs, probs = _trajs_probs(pred)
     where = f"scenario {scenario_id!r} target {target}"
+    if trajs.shape[1] != len(gt):
+        raise ValueError(f"{where}: trajectory has {trajs.shape[1]} steps, "
+                         f"ground truth has {len(gt)}")
     bad = np.flatnonzero(~np.isfinite(probs))
     if bad.size:
         raise ValueError(f"{where}: mode {bad[0]} has non-finite probability "
@@ -151,8 +155,8 @@ def _check_finite(pred: PredictionSet, scenario_id: str, target: int) -> None:
 
 def score_target(pred: PredictionSet, gt: np.ndarray, k: int, threshold: float,
                  scenario_id: str = "", target: int = 0) -> TargetMetrics:
-    """Metrics of one target's top-k modes; non-finite inputs raise ValueError."""
-    _check_finite(pred, scenario_id, target)
+    """Metrics of one target's top-k modes; malformed inputs raise ValueError."""
+    _check_prediction(pred, gt, scenario_id, target)
     sub = top_k_modes(pred, k)
     return TargetMetrics(
         scenario_id=scenario_id,

@@ -426,9 +426,11 @@ def _has_integer_index(key) -> bool:
 def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     """Batched matrix product over the last two axes.
 
-    Leading axes broadcast numpy-style. With `exact_sum`, each contraction
-    is a sorted sum, so the result does not depend on the order of the
-    summands (used where bit-exact permutation symmetry is asserted).
+    Leading axes broadcast numpy-style. An output row does not depend, bit
+    for bit, on where its row of `a` sits: BLAS gemm rounds rows alike, gemv
+    does not, so a one-column `b` takes the sorted path. With `exact_sum`,
+    each contraction is a sorted sum, independent of summand order (used
+    for sums over a permutable axis).
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
@@ -438,7 +440,7 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
         raise ValueError(f"matmul: inner dimensions mismatch, {a.shape} vs {b.shape}")
     _broadcast_shape(a.shape[:-2], b.shape[:-2], "matmul (leading axes)")
 
-    if exact_sum:
+    if exact_sum or b.shape[-1] == 1:
         prod = np.multiply(a.data[..., :, None, :],                # [..., n, m, k]
                            np.swapaxes(b.data, -1, -2)[..., None, :, :], order="C")
         out_data = _sorted_sum_last(prod)                          # [..., n, m]

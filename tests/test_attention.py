@@ -367,7 +367,7 @@ def test_factored_gate_matches_concatenated_pair_input(exact_sum):
                             np.broadcast_to(k[:, None], (3, 5, 7, 8))], axis=-1)
     fc1, fc2 = p.gate_mlp.fc1, p.gate_mlp.fc2
     first = pairs @ fc1.w.data + fc1.b.data                      # [3, 5, 7, 8]
-    got = _gate_first_layer(Tensor(q), Tensor(k), fc1, exact_sum).data
+    got = _gate_first_layer(Tensor(q), Tensor(k), fc1).data
     assert np.max(np.abs(got - first)) <= 1e-12
 
     gate = _sigmoid(np.maximum(first, 0.0) @ fc2.w.data + fc2.b.data)[..., 0]

@@ -239,6 +239,17 @@ def test_eval_rejects_nan_inside_trajectory(tiny_setup, capsys):
     assert "mode 0 step 1 of the trajectory is non-finite" in capsys.readouterr().err
 
 
+def test_eval_rejects_step_count_mismatch(tiny_setup, capsys):
+    cfg, _, scn_path, tmp_path = tiny_setup
+    records = [(sid, t, PredictionSet(trajs=Tensor(pred.trajs.data[:, :-1]), probs=pred.probs))
+               for sid, t, pred in _gt_records(cfg)]
+    pred_path = str(tmp_path / "short.json")
+    write_predictions(pred_path, records)
+    assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
+                 "--k", "1"]) == 2
+    assert "trajectory has 3 steps, ground truth has 4" in capsys.readouterr().err
+
+
 def _write_doc(tmp_path, records):
     path = tmp_path / "preds.json"
     path.write_text(json.dumps({"predictions": records}))

@@ -59,6 +59,55 @@ def test_load_rejects_missing_target_pose(tmp_path):
         load_scenarios(_write(tmp_path, doc))
 
 
+def test_load_rejects_valid_not_zero_or_one(tmp_path):
+    doc = _simple_doc()
+    doc["scenarios"][0]["agents"][1]["history"][2][2] = 0.5
+    path = _write(tmp_path, doc)
+    with pytest.raises(ScenarioFormatError,
+                       match=r"scenario 0 \(id=s0\), agent 1, history step 2: "
+                             r"valid is not 0 or 1 \(row \[3.0, 0.0, 0.5\]\)") as err:
+        load_scenarios(path)
+    assert path in str(err.value)
+
+
+@pytest.mark.parametrize("part,bad", [("history", float("nan")), ("future", float("inf"))])
+def test_load_rejects_non_finite_on_valid_state(tmp_path, part, bad):
+    doc = _simple_doc()
+    agent = doc["scenarios"][0]["agents"][1]
+    agent[part][1][0] = bad
+    agent[part][3][:2] = [bad, bad]
+    agent[part][3][2] = 0.0                     # padded states may hold anything
+    path = _write(tmp_path, doc)
+    with pytest.raises(ScenarioFormatError,
+                       match=rf"scenario 0 \(id=s0\), agent 1, {part} step 1: "
+                             r"non-finite x/y on a valid state") as err:
+        load_scenarios(path)
+    assert path in str(err.value)
+    agent[part][1][2] = 0.0
+    assert load_scenarios(_write(tmp_path, doc))[0].num_agents == 2
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.5, float("nan"), float("inf")])
+def test_load_rejects_bad_dt(tmp_path, dt):
+    doc = _simple_doc()
+    doc["scenarios"][0]["dt"] = dt
+    path = _write(tmp_path, doc)
+    with pytest.raises(ScenarioFormatError,
+                       match=r"scenario 0 \(id=s0\): dt .* is not finite and positive") as err:
+        load_scenarios(path)
+    assert path in str(err.value)
+
+
+def test_load_rejects_repeated_scenario_id(tmp_path):
+    doc = _simple_doc()
+    doc["scenarios"].append(_simple_doc()["scenarios"][0])
+    path = _write(tmp_path, doc)
+    with pytest.raises(ScenarioFormatError,
+                       match=r"scenario 1 \(id=s0\): id repeats scenario 0") as err:
+        load_scenarios(path)
+    assert path in str(err.value)
+
+
 def test_save_load_roundtrip(tmp_path):
     original = generate_synthetic(GenConfig(num_scenarios=3, num_agents=2), seed=7)
     path = str(tmp_path / "rt.json")

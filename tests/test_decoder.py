@@ -14,8 +14,9 @@ def _params(rng, channels=8, heads=2, modes=3, t_future=4):
     return DecoderParams.create(rng, channels, heads, modes, t_future)
 
 
-def test_identical_mode_tokens_give_identical_trajectories():
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("seed", [0, 10, 11, 16])
+def test_identical_mode_tokens_give_identical_trajectories(seed):
+    rng = np.random.default_rng(seed)
     p = _params(rng)
     p.tokens.data[:] = p.tokens.data[0]          # break nothing but the tokens
     e_a = Tensor(rng.normal(size=(3, 8)))

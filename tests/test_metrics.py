@@ -158,3 +158,11 @@ def test_score_target_rejects_non_finite_probability(bad):
     gt = np.zeros((4, 2))
     with pytest.raises(ValueError, match=r"scenario 'sc' target 1: mode 1 .*probability"):
         score_target(_pred(np.zeros((2, 4, 2)), [1.0, bad]), gt, 1, 2.0, "sc", 1)
+
+
+def test_score_target_rejects_step_count_mismatch():
+    gt = np.zeros((4, 2))
+    with pytest.raises(ValueError,
+                       match=r"scenario 'sc' target 3: trajectory has 5 steps, "
+                             r"ground truth has 4"):
+        score_target(_pred(np.zeros((1, 5, 2)), [1.0]), gt, 1, 2.0, "sc", 3)

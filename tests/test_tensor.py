@@ -201,6 +201,21 @@ def test_matmul_exact_sum_matches_plain():
     assert np.allclose(plain, exact, atol=1e-12)
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    *[((n, k), (k, 1)) for n in (3, 5, 7) for k in (8, 16, 32)],   # gemv
+    ((8, 32, 32), (32, 32)), ((8, 32, 32), (32, 64)), ((8, 32, 64), (64, 32)),
+], ids=lambda shape: "x".join(map(str, shape)))
+def test_matmul_rows_independent_of_position(a_shape, b_shape):
+    rng = np.random.default_rng(100 * a_shape[-2] + a_shape[-1] + b_shape[-1])
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    base = matmul(Tensor(a), Tensor(b)).data
+    n = a_shape[-2]
+    perms = [np.roll(np.arange(n), s) for s in range(1, n)] + [np.arange(n)[::-1]]
+    for perm in perms + [rng.permutation(n) for _ in range(10)]:
+        out = matmul(Tensor(a[..., perm, :]), Tensor(b)).data
+        assert np.array_equal(out, base[..., perm, :])
+
+
 def test_cumsum_matches_numpy_bitwise():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 7, 2))
