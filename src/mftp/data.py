@@ -108,14 +108,11 @@ def _validate_scenario(s: Scenario, where: str) -> None:
         raise ScenarioFormatError(f"{where}: history length {t_h} < 2")
     if t_f < 1:
         raise ScenarioFormatError(f"{where}: future length {t_f} < 1")
-    for i, a in enumerate(s.agents):
-        if a.history.shape != (t_h, 3):
-            raise ScenarioFormatError(
-                f"{where}: agent {i} history shape {a.history.shape} != ({t_h}, 3)")
-        if a.future.shape != (t_f, 3):
-            raise ScenarioFormatError(
-                f"{where}: agent {i} future shape {a.future.shape} != ({t_f}, 3)")
-    for name in ("history", "future"):
+    for name, t_len in (("history", t_h), ("future", t_f)):
+        for i, a in enumerate(s.agents):
+            if getattr(a, name).shape != (t_len, 3):
+                raise ScenarioFormatError(f"{where}: agent {i} {name} shape "
+                                          f"{getattr(a, name).shape} != ({t_len}, 3)")
         rows = np.stack([getattr(a, name) for a in s.agents])         # [N, T, 3]
         valid = rows[..., 2]
         for bad, why in (((valid != 0.0) & (valid != 1.0), "valid is not 0 or 1"),
@@ -139,10 +136,9 @@ def _track_from_record(rec: dict, where: str) -> AgentTrack:
         fut = np.asarray(rec["future"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{where}: malformed agent record ({exc})") from None
-    if hist.ndim != 2 or hist.shape[1] != 3:
-        raise ScenarioFormatError(f"{where}: history rows must be [x, y, valid]")
-    if fut.ndim != 2 or fut.shape[1] != 3:
-        raise ScenarioFormatError(f"{where}: future rows must be [x, y, valid]")
+    for name, rows in (("history", hist), ("future", fut)):
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ScenarioFormatError(f"{where}: {name} rows must be [x, y, valid]")
     return AgentTrack(history=hist, future=fut)
 
 
@@ -153,23 +149,30 @@ def load_scenarios(path: str) -> list[Scenario]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or "scenarios" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ScenarioFormatError(f"{path}: missing top-level 'scenarios' list")
 
     out = []
     seen: dict[str, int] = {}
     for si, rec in enumerate(doc["scenarios"]):
+        if not isinstance(rec, dict):
+            raise ScenarioFormatError(f"{path}: scenario {si} is not an object")
         where = f"{path}: scenario {si} (id={rec.get('id', '?')})"
-        agents = [_track_from_record(a, f"{where}, agent {ai}")
-                  for ai, a in enumerate(rec.get("agents", []))]
-        s = Scenario(
-            scenario_id=str(rec.get("id", si)),
-            dt=float(rec.get("dt", 0.5)),
-            agents=agents,
-            targets=[int(t) for t in rec.get("targets", [])],
-        )
-        if not (math.isfinite(s.dt) and s.dt > 0.0):
-            raise ScenarioFormatError(f"{where}: dt {s.dt!r} is not finite and positive")
+        agents, targets = rec.get("agents", []), rec.get("targets", [])
+        if not isinstance(agents, list) or not isinstance(targets, list):
+            raise ScenarioFormatError(f"{where}: 'agents' and 'targets' must be lists")
+        if not all(type(t) is int for t in targets) or len(set(targets)) != len(targets):
+            raise ScenarioFormatError(f"{where}: targets {targets} are not distinct integers")
+        try:
+            dt = float(rec.get("dt", 0.5))
+        except (TypeError, ValueError):
+            dt = math.nan
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ScenarioFormatError(f"{where}: dt {rec.get('dt')!r} is not finite and positive")
+        s = Scenario(scenario_id=str(rec.get("id", si)), dt=dt,
+                     agents=[_track_from_record(a, f"{where}, agent {ai}")
+                             for ai, a in enumerate(agents)],
+                     targets=targets)
         if s.scenario_id in seen:
             raise ScenarioFormatError(f"{where}: id repeats scenario {seen[s.scenario_id]}")
         seen[s.scenario_id] = si

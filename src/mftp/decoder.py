@@ -23,13 +23,13 @@ from .tensor import Tensor, broadcast_to, cumsum, softmax
 
 @dataclass
 class PredictionSet:
-    """K candidate futures for one target with mode probabilities."""
-    trajs: Tensor              # [K, T_f, 2], meters
-    probs: Tensor              # [K], nonnegative, sums to 1
+    """K candidate futures with mode probabilities, for one target or a batch."""
+    trajs: Tensor              # [K, T_f, 2] or [B, K, T_f, 2], meters
+    probs: Tensor              # [K] or [B, K], nonnegative, sums to 1
 
     @property
     def num_modes(self) -> int:
-        return self.trajs.shape[0]
+        return self.trajs.shape[-3]
 
 
 @dataclass

@@ -6,6 +6,11 @@ regression and patch gradients. The patch terms compare non-overlapping
 trajectory patches per coordinate: direction consistency through Pearson
 correlation, spread through a KL divergence between softmaxed deviations,
 and level through the absolute mean gap.
+
+Every loss function takes one target or a batch, like `decode`: one target
+is trajectories [K, T_f, 2], probabilities [K] and ground truth [T_f, 2];
+a batch adds a leading B axis to each. A batch term is the mean of the
+per-target terms, built as one tape pass over all targets.
 """
 
 from __future__ import annotations
@@ -35,13 +40,16 @@ class LossWeights:
 
 @dataclass
 class LossTerms:
-    """Per-target scalar loss tensors, still on the tape."""
+    """Scalar loss tensors, still on the tape; batch terms are target means.
+
+    `best_mode` is an int for one target, or a [B] index array for a batch.
+    """
     reg: Tensor
     cls: Tensor
     corr: Tensor
     var: Tensor
     mean: Tensor
-    best_mode: int
+    best_mode: int | np.ndarray
 
     @property
     def patch(self) -> Tensor:
@@ -72,39 +80,55 @@ def smooth_l1(residual: Tensor) -> Tensor:
     return quad * residual.square() * 0.5 + (1.0 - quad) * (a - 0.5)
 
 
-def regression_loss(pred: PredictionSet, gt) -> tuple[Tensor, int]:
+def _mode_index(best) -> tuple:
+    """Index of mode `best` (an int, or one per target after the batch axis)."""
+    return (best,) if np.ndim(best) == 0 else (np.arange(len(best)), best)
+
+
+def _winners(pred: PredictionSet, gt) -> tuple[Tensor, int | np.ndarray, Tensor]:
+    """(winning trajectory [..., T_f, 2], winner index, ground truth tensor).
+
+    Picking by index rather than by a one-hot product keeps a non-finite
+    losing mode out of the loss (0 * inf would be nan).
+    """
+    gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
+    trajs = pred.trajs
+    if trajs.ndim < 3 or trajs.shape[:-3] + trajs.shape[-2:] != gt.shape:
+        raise ValueError(f"regression_loss: prediction {trajs.shape} does not "
+                         f"match ground truth {gt.shape}")
+    dists = np.linalg.norm(trajs.data - gt[..., None, :, :], axis=-1).mean(axis=-1)
+    best = np.argmin(dists, axis=-1)        # first minimum: ties go to the lowest index
+    best = int(best) if best.ndim == 0 else best
+    return trajs[_mode_index(best)], best, Tensor(gt)
+
+
+def regression_loss(pred: PredictionSet, gt) -> tuple[Tensor, int | np.ndarray]:
     """Smooth-L1 between the closest mode and ground truth.
 
     The winner is the mode with the smallest mean L2 distance (ties go to
     the lowest index); gradient flows only through it.
     """
-    gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
-    if pred.trajs.shape[1:] != gt.shape:
-        raise ValueError(f"regression_loss: prediction steps {pred.trajs.shape[1:]} "
-                         f"do not match ground truth {gt.shape}")
-    dists = np.linalg.norm(pred.trajs.data - gt[None], axis=-1).mean(axis=-1)
-    best = int(np.argmin(dists))
-    loss = smooth_l1(pred.trajs[best] - Tensor(gt)).mean()
-    return loss, best
+    won, best, gt = _winners(pred, gt)
+    return smooth_l1(won - gt).mean(), best
 
 
-def classification_loss(probs: Tensor, best_mode: int) -> Tensor:
+def classification_loss(probs: Tensor, best_mode) -> Tensor:
     """Negative log likelihood of the winning mode (selection is detached)."""
-    return -(probs[best_mode].log())
+    return -(probs[_mode_index(best_mode)].log().mean())
 
 
 def patchify_trajectory(y: Tensor, patch_len: int) -> Tensor:
-    """Split [T_f, 2] into [M, patch_len, 2] non-overlapping patches."""
-    t_f = y.shape[0]
+    """Split [..., T_f, 2] into [..., M, patch_len, 2] non-overlapping patches."""
+    t_f = y.shape[-2]
     if patch_len < 1 or t_f % patch_len:
         raise ValueError(f"patchify_trajectory: horizon {t_f} not divisible "
                          f"by patch length {patch_len}")
-    return y.reshape(t_f // patch_len, patch_len, 2)
+    return y.reshape(*y.shape[:-2], t_f // patch_len, patch_len, 2)
 
 
-def _log_softmax(x: Tensor) -> Tensor:
-    shift = x - Tensor(x.data.max(axis=-1, keepdims=True))
-    return shift - shift.exp().sum(axis=-1, keepdims=True).log()
+def _log_softmax(x: Tensor, axis: int) -> Tensor:
+    shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
+    return shift - shift.exp().sum(axis=axis, keepdims=True).log()
 
 
 def patch_loss(pred_traj: Tensor, gt_traj, patch_len: int,
@@ -115,65 +139,48 @@ def patch_loss(pred_traj: Tensor, gt_traj, patch_len: int,
     deviation regularized to sqrt(var + eps); a constant patch therefore
     contributes ~1, not a division by zero. Variance: KL between softmaxed
     within-patch deviations, ground truth side first. Mean: |mu - mu_hat|.
+    Every statistic reduces over the within-patch axis (-2) for x and y at
+    once; each term is then the mean over targets, patches and coordinates.
     """
     gt_traj = gt_traj if isinstance(gt_traj, Tensor) else Tensor(gt_traj)
-    pred_p = patchify_trajectory(pred_traj, patch_len)      # [M, P, 2]
+    pred_p = patchify_trajectory(pred_traj, patch_len)      # [..., M, P, 2]
     gt_p = patchify_trajectory(gt_traj, patch_len)
+    mu_p = pred_p.mean(axis=-2, keepdims=True)
+    mu_g = gt_p.mean(axis=-2, keepdims=True)
+    dp = pred_p - mu_p
+    dg = gt_p - mu_g
 
-    corr_acc, var_acc, mean_acc = [], [], []
-    for c in (0, 1):
-        yp = pred_p[:, :, c]
-        yg = gt_p[:, :, c]
-        mu_p = yp.mean(axis=-1, keepdims=True)
-        mu_g = yg.mean(axis=-1, keepdims=True)
-        dp = yp - mu_p
-        dg = yg - mu_g
+    cov = (dg * dp).sum(axis=-2)                            # [..., M, 2]
+    sd_p = (dp.square().mean(axis=-2) + eps).sqrt()
+    sd_g = (dg.square().mean(axis=-2) + eps).sqrt()
+    corr = (1.0 - cov / (sd_g * sd_p * float(patch_len))).mean()
 
-        cov = (dg * dp).sum(axis=-1)                        # [M]
-        sd_p = (dp.square().mean(axis=-1) + eps).sqrt()
-        sd_g = (dg.square().mean(axis=-1) + eps).sqrt()
-        pearson = cov / (sd_g * sd_p * float(patch_len))
-        corr_acc.append((1.0 - pearson).mean())
+    log_pg = _log_softmax(dg, axis=-2)
+    log_pp = _log_softmax(dp, axis=-2)
+    var = (log_pg.exp() * (log_pg - log_pp)).sum(axis=-2).mean()
 
-        log_pg = _log_softmax(dg)
-        log_pp = _log_softmax(dp)
-        kl = (log_pg.exp() * (log_pg - log_pp)).sum(axis=-1)
-        var_acc.append(kl.mean())
-
-        mean_acc.append((mu_g - mu_p).abs().mean())
-
-    half = 0.5
-    return ((corr_acc[0] + corr_acc[1]) * half,
-            (var_acc[0] + var_acc[1]) * half,
-            (mean_acc[0] + mean_acc[1]) * half)
+    mean = (mu_g - mu_p).abs().mean()
+    return corr, var, mean
 
 
 def target_loss(pred: PredictionSet, gt, patch_len: int) -> LossTerms:
-    """All loss terms for one target; patch terms supervise the winner mode."""
-    reg, best = regression_loss(pred, gt)
-    cls = classification_loss(pred.probs, best)
-    corr, var, mean = patch_loss(pred.trajs[best], gt, patch_len)
-    return LossTerms(reg=reg, cls=cls, corr=corr, var=var, mean=mean, best_mode=best)
+    """All loss terms for one target or a batch; the winner gets the patch terms."""
+    won, best, gt = _winners(pred, gt)
+    corr, var, mean = patch_loss(won, gt, patch_len)
+    return LossTerms(reg=smooth_l1(won - gt).mean(),
+                     cls=classification_loss(pred.probs, best),
+                     corr=corr, var=var, mean=mean, best_mode=best)
 
 
 def total_loss(terms: list[LossTerms], weights: LossWeights) -> tuple[Tensor, LossReport]:
-    """Weighted sum of components averaged over the batch targets."""
+    """Weighted sum of the components, each averaged over `terms`."""
     weights.validate()
     if not terms:
         raise ValueError("total_loss: empty batch")
-    n = float(len(terms))
-
-    def avg(values: list[Tensor]) -> Tensor:
-        acc = values[0]
-        for v in values[1:]:
-            acc = acc + v
-        return acc * (1.0 / n)
-
-    reg = avg([t.reg for t in terms])
-    cls = avg([t.cls for t in terms])
-    corr = avg([t.corr for t in terms])
-    var = avg([t.var for t in terms])
-    mean = avg([t.mean for t in terms])
+    scale = 1.0 / len(terms)
+    reg, cls, corr, var, mean = (
+        sum((getattr(t, k) for t in terms[1:]), getattr(terms[0], k)) * scale
+        for k in ("reg", "cls", "corr", "var", "mean"))
     patch = corr + var + mean
     total = reg * weights.alpha + cls * weights.beta + patch * weights.gamma
     report = LossReport(reg=reg.item(), cls=cls.item(), corr=corr.item(),

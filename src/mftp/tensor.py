@@ -428,9 +428,10 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
 
     Leading axes broadcast numpy-style. An output row does not depend, bit
     for bit, on where its row of `a` sits: BLAS gemm rounds rows alike, gemv
-    does not, so a one-column `b` takes the sorted path. With `exact_sum`,
-    each contraction is a sorted sum, independent of summand order (used
-    for sums over a permutable axis).
+    does not, so a one-column `b` is summed by numpy over the C-ordered
+    product, which adds every row in the same order. With `exact_sum`, each
+    contraction is a sorted sum, independent of summand order (used for
+    sums over a permutable axis).
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
@@ -443,7 +444,7 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     if exact_sum or b.shape[-1] == 1:
         prod = np.multiply(a.data[..., :, None, :],                # [..., n, m, k]
                            np.swapaxes(b.data, -1, -2)[..., None, :, :], order="C")
-        out_data = _sorted_sum_last(prod)                          # [..., n, m]
+        out_data = _sorted_sum_last(prod) if exact_sum else prod.sum(axis=-1)
     else:
         out_data = np.matmul(a.data, b.data)
 
@@ -543,14 +544,6 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     return centered / (var + eps).sqrt()
 
 
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
 # -- complex carrier -------------------------------------------------------------
 
 
@@ -591,25 +584,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-6) -> flo
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     xt = Tensor(x.data.copy(), requires_grad=True)
-    out = f(xt)
-    if out.data.size != 1:
-        raise ValueError(f"grad_check: f must return a scalar, got shape {out.shape}")
-    out.backward()
-    analytic = (xt.grad if xt.grad is not None else np.zeros_like(xt.data)).reshape(-1)
-
-    base = x.data.reshape(-1).copy()
-    numeric = np.empty_like(base)
-    for i in range(base.size):
-        orig = base[i]
-        base[i] = orig + h
-        fp = f(Tensor(base.reshape(x.shape))).item()
-        base[i] = orig - h
-        fm = f(Tensor(base.reshape(x.shape))).item()
-        base[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
-
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if base.size else 0.0
+    return grad_check_param(lambda: f(xt), xt, h)
 
 
 def grad_check_param(loss_fn: Callable[[], Tensor], param: Tensor,

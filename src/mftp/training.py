@@ -105,12 +105,14 @@ def _batch_indices(step: int, batch_size: int, n_items: int) -> list[int]:
 
 def train_step(model: TrajectoryPredictor, optimizer: Adam,
                batch: list[TrainingItem], config: Config) -> LossReport:
+    """One Adam step on the batch; a non-finite loss raises before any update."""
     trajs, probs = model.forward_frames([it.frame for it in batch])
-    terms = []
-    for i, item in enumerate(batch):
-        pred = PredictionSet(trajs=trajs[i], probs=probs[i])
-        terms.append(target_loss(pred, item.gt_local, config.model.patch_len))
-    loss, report = total_loss(terms, config.training.loss_weights())
+    terms = target_loss(PredictionSet(trajs=trajs, probs=probs),
+                        np.stack([it.gt_local for it in batch]), config.model.patch_len)
+    loss, report = total_loss([terms], config.training.loss_weights())
+    if not np.isfinite(report.total):
+        raise ValueError(f"non-finite loss {report} on scenarios "
+                         f"{sorted({it.scenario_id for it in batch})}")
     optimizer.zero_grad()
     loss.backward()
     optimizer.step()
@@ -138,7 +140,10 @@ def train(config: Config, out_dir: str | None = None,
     for step in range(config.training.steps):
         batch = [items[i] for i in _batch_indices(step, config.training.batch_size,
                                                   len(items))]
-        report = train_step(model, optimizer, batch, config)
+        try:
+            report = train_step(model, optimizer, batch, config)
+        except ValueError as exc:
+            raise ValueError(f"train step {step}: {exc}") from None
         if result.first_report is None:
             result.first_report = report
         result.last_report = report
@@ -195,9 +200,13 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     model = TrajectoryPredictor(config.model, seed=config.training.seed)
     params = model.parameters()
 
-    with open(os.path.join(path, PARAMS_NAME), "rb") as fh:
+    missing = set(params) - {entry["name"] for entry in manifest["params"]}
+    if missing:
+        raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+    params_path = os.path.join(path, PARAMS_NAME)
+    with open(params_path, "rb") as fh:
         blob = fh.read()
-    seen = set()
+    end = 0
     for entry in manifest["params"]:
         name = entry["name"]
         if name not in params:
@@ -206,12 +215,18 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
         if list(p.shape) != entry["shape"]:
             raise ValueError(f"checkpoint parameter {name!r} shape {entry['shape']} "
                              f"!= model shape {list(p.shape)}")
-        lo = entry["offset"]
-        hi = lo + entry["count"] * 8
-        arr = np.frombuffer(blob[lo:hi], dtype="<f8").reshape(entry["shape"])
-        p.data = arr.astype(np.float64, copy=True)
-        seen.add(name)
-    missing = set(params) - seen
-    if missing:
-        raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        if entry["count"] != p.size:
+            raise ValueError(f"{manifest_path}: parameter {name!r} count {entry['count']} "
+                             f"!= {p.size} elements of shape {entry['shape']}")
+        if entry["offset"] != end:
+            raise ValueError(f"{manifest_path}: parameter {name!r} offset {entry['offset']} "
+                             f"!= {end}, where the previous entry ends")
+        lo, end = end, end + p.size * 8
+        if end > len(blob):
+            raise ValueError(f"{params_path}: parameter {name!r} needs bytes {lo}..{end}, "
+                             f"file has {len(blob)}")
+        p.data = np.frombuffer(blob[lo:end], dtype="<f8").reshape(p.shape).astype(np.float64)
+    if len(blob) > end:
+        raise ValueError(f"{params_path}: {len(blob) - end} bytes after the last "
+                         f"parameter {name!r}")
     return model, config, int(manifest["step"])

@@ -309,3 +309,40 @@ def test_eval_rejects_negative_probability_and_duplicate(tiny_setup, capsys):
     assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
                  "--k", "1"]) == 2
     assert f"record {len(records)} repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("record", None), ("agents", 3), ("targets", "0"), ("dt", "fast"),
+    ("targets", [0.7]), ("targets", ["a"]), ("targets", [0, 0])])
+def test_predict_and_eval_reject_bad_scenario_structure(tiny_setup, capsys, key, value):
+    from mftp.model import TrajectoryPredictor
+    from mftp.training import save_checkpoint
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(ckpt, TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    doc = json.loads(open(scn_path).read())
+    if key == "record":
+        doc["scenarios"][1] = "not a record"
+    else:
+        doc["scenarios"][1][key] = value
+    bad_path = str(tmp_path / "bad_scenarios.json")
+    with open(bad_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["predict", "--checkpoint", ckpt, "--scenarios", bad_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert f"{bad_path}: scenario 1" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", ckpt, "--scenarios", bad_path, "--k", "1"]) == 2
+    assert f"{bad_path}: scenario 1" in capsys.readouterr().err
+
+
+def test_predict_rejects_truncated_checkpoint(tiny_setup, capsys):
+    from mftp.model import TrajectoryPredictor
+    from mftp.training import save_checkpoint
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    blob = (ckpt / "params.bin").read_bytes()
+    (ckpt / "params.bin").write_bytes(blob[: len(blob) // 2])
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert "params.bin: parameter" in capsys.readouterr().err

@@ -270,3 +270,37 @@ def test_lane_change_moves_laterally():
     normal = np.array([-d0[1], d0[0]]) / np.linalg.norm(d0)
     drift = (xy - xy[0]) @ normal
     assert 1.0 < np.max(np.abs(drift)) < 4.0
+
+
+def _set(key, value):
+    def edit(doc):
+        doc["scenarios"][0][key] = value
+    return edit
+
+
+def _replace_record(doc):
+    doc["scenarios"][0] = ["s0", 0.5]
+
+
+BAD_STRUCTURE = {
+    "record-not-object": (_replace_record, r"scenario 0 is not an object"),
+    "agents-not-list": (_set("agents", {"history": []}),
+                        r"\(id=s0\): 'agents' and 'targets' must be lists"),
+    "targets-not-list": (_set("targets", 0),
+                         r"\(id=s0\): 'agents' and 'targets' must be lists"),
+    "dt-not-numeric": (_set("dt", "fast"), r"\(id=s0\): dt 'fast' is not finite and positive"),
+    "target-fraction": (_set("targets", [0.7]), r"\(id=s0\): targets \[0.7\] are not distinct"),
+    "target-string": (_set("targets", ["a"]), r"\(id=s0\): targets \['a'\] are not distinct"),
+    "target-repeated": (_set("targets", [0, 0]), r"\(id=s0\): targets \[0, 0\] are not distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STRUCTURE))
+def test_load_rejects_bad_record_structure(tmp_path, case):
+    edit, match = BAD_STRUCTURE[case]
+    doc = _simple_doc()
+    edit(doc)
+    path = _write(tmp_path, doc)
+    with pytest.raises(ScenarioFormatError, match=match) as err:
+        load_scenarios(path)
+    assert str(err.value).startswith(f"{path}: scenario 0")

@@ -201,3 +201,88 @@ def test_gradient_of_total_loss_matches_finite_differences():
     f(xt).backward()
     denom = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(xt.grad)))
     assert np.max(np.abs(numeric - xt.grad) / denom) <= 1e-4
+
+
+def _random_batch(rng, b, k, t_f):
+    scale = float(rng.uniform(0.2, 20.0))
+    trajs = rng.normal(scale=scale, size=(b, k, t_f, 2))
+    gt = rng.normal(scale=scale, size=(b, t_f, 2))
+    probs = rng.dirichlet(np.ones(k), size=b)
+    return trajs, probs, gt
+
+
+def test_batched_terms_are_means_of_per_target_terms():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        b, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        t_f = int(rng.choice([4, 8, 12]))
+        p = int(rng.choice([1, 2, 4]))
+        trajs, probs, gt = _random_batch(rng, b, k, t_f)
+        if rng.random() < 0.2:
+            trajs[:, -1] = trajs[:, 0]                  # a tie: lowest index wins
+        batched = target_loss(PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs)),
+                              gt, patch_len=p)
+        singles = [target_loss(PredictionSet(trajs=Tensor(trajs[i]), probs=Tensor(probs[i])),
+                               gt[i], patch_len=p) for i in range(b)]
+        assert batched.best_mode.shape == (b,)
+        assert batched.best_mode.tolist() == [s.best_mode for s in singles]
+        for name in ("reg", "cls", "corr", "var", "mean"):
+            want = np.mean([getattr(s, name).item() for s in singles])
+            assert abs(getattr(batched, name).item() - want) <= 1e-12 * max(1.0, abs(want)), name
+
+
+def test_batched_regression_and_classification_match_per_target():
+    rng = np.random.default_rng(15)
+    trajs, probs, gt = _random_batch(rng, 3, 4, 8)
+    loss, best = regression_loss(PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs)), gt)
+    singles = [regression_loss(_pred(trajs[i], probs[i]), gt[i]) for i in range(3)]
+    assert best.tolist() == [s[1] for s in singles]
+    assert abs(loss.item() - np.mean([s[0].item() for s in singles])) <= 1e-12
+    cls = classification_loss(Tensor(probs), best)
+    want = np.mean([classification_loss(Tensor(probs[i]), int(best[i])).item()
+                    for i in range(3)])
+    assert abs(cls.item() - want) <= 1e-12
+    assert patchify_trajectory(Tensor(trajs[:, 0]), 4).shape == (3, 2, 4, 2)
+
+
+def test_batched_gradient_reaches_only_winning_modes():
+    rng = np.random.default_rng(16)
+    gt = rng.normal(scale=5.0, size=(4, 8, 2))
+    trajs = gt[:, None] + rng.normal(scale=0.5, size=(4, 3, 8, 2)) + \
+        np.array([4.0, 0.0, 8.0])[None, :, None, None]
+    pred = PredictionSet(trajs=Tensor(trajs, requires_grad=True),
+                         probs=Tensor(np.full((4, 3), 1.0 / 3.0), requires_grad=True))
+    terms = target_loss(pred, gt, patch_len=4)
+    total, _ = total_loss([terms], LossWeights())
+    total.backward()
+    assert terms.best_mode.tolist() == [1, 1, 1, 1]
+    for i in range(4):
+        assert np.any(pred.trajs.grad[i, 1] != 0.0)
+        assert np.all(pred.trajs.grad[i, [0, 2]] == 0.0)
+        assert pred.probs.grad[i, 1] != 0.0
+        assert np.all(pred.probs.grad[i, [0, 2]] == 0.0)
+
+
+def test_non_finite_losing_mode_stays_out_of_the_loss():
+    gt = _wavy(t_f=8, seed=17)
+    trajs = np.stack([np.stack([gt + np.inf, gt + 0.5]), np.stack([gt + 0.3, gt - np.inf])])
+    terms = target_loss(PredictionSet(trajs=Tensor(trajs), probs=Tensor(np.full((2, 2), 0.5))),
+                        np.stack([gt, gt]), patch_len=4)
+    assert terms.best_mode.tolist() == [1, 0]
+    total, report = total_loss([terms], LossWeights())
+    assert math.isfinite(report.total) and total.item() == report.total
+
+
+def test_gradient_of_batched_total_loss_matches_finite_differences():
+    rng = np.random.default_rng(18)
+    gt = rng.normal(scale=6.0, size=(3, 8, 2))
+    x0 = np.stack([gt + 0.3, gt + 4.0], axis=1) + rng.normal(scale=0.1, size=(3, 2, 8, 2))
+    probs0 = rng.dirichlet(np.ones(2), size=3)
+    w = LossWeights(alpha=1.0, beta=0.5, gamma=0.5)
+
+    def loss(trajs: Tensor, probs: Tensor) -> Tensor:
+        terms = target_loss(PredictionSet(trajs=trajs, probs=probs), gt, patch_len=4)
+        return total_loss([terms], w)[0]
+
+    assert grad_check(lambda t: loss(t, Tensor(probs0)), Tensor(x0)) <= 1e-4
+    assert grad_check(lambda p: loss(Tensor(x0), p), Tensor(probs0)) <= 1e-4

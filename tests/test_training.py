@@ -122,3 +122,88 @@ def test_checkpoint_files_identical_across_runs(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+
+
+from mftp.training import train_step
+
+
+def _saved_checkpoint(tmp_path):
+    cfg = _tiny_config(steps=0)
+    out = str(tmp_path / "ckpt")
+    save_checkpoint(out, TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    return out
+
+
+def test_checkpoint_rejects_short_params_file(tmp_path):
+    out = _saved_checkpoint(tmp_path)
+    path = tmp_path / "ckpt" / "params.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=r"params\.bin: parameter '.+' needs bytes "
+                                         r"\d+\.\.\d+, file has \d+"):
+        load_checkpoint(out)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    out = _saved_checkpoint(tmp_path)
+    path = tmp_path / "ckpt" / "params.bin"
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(ValueError, match=r"params\.bin: 16 bytes after the last parameter '.+'"):
+        load_checkpoint(out)
+
+
+def test_checkpoint_rejects_count_unlike_shape(tmp_path):
+    import json
+    out = _saved_checkpoint(tmp_path)
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["params"][0]
+    entry["count"] += 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"manifest\.json: parameter '{entry['name']}' "
+                                         rf"count {entry['count']} != {entry['count'] - 1}"):
+        load_checkpoint(out)
+
+
+def test_train_step_rejects_non_finite_loss_before_update():
+    cfg = _tiny_config()
+    items = build_training_items(load_training_scenarios(cfg))
+    items[1].gt_local[2, 0] = np.nan
+    model = TrajectoryPredictor(cfg.model, seed=0)
+    opt = Adam(model.parameters(), lr=1e-3)
+    before = {k: p.data.copy() for k, p in model.parameters().items()}
+    with pytest.raises(ValueError, match="non-finite loss"):
+        train_step(model, opt, items, cfg)
+    assert opt.t == 0
+    for k, p in model.parameters().items():
+        assert np.array_equal(p.data, before[k]), k
+
+
+def test_train_names_the_step_of_a_non_finite_loss(monkeypatch):
+    import mftp.training as training
+    cfg = _tiny_config(steps=3)
+    cfg.data.synthetic.num_scenarios = 4
+    cfg.training.batch_size = 2
+
+    def corrupt(scenarios):
+        items = build_training_items(scenarios)
+        items[3].gt_local[0, 1] = np.inf
+        return items
+    monkeypatch.setattr(training, "build_training_items", corrupt)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=r"^train step 1: non-finite loss"):
+        train(cfg)
+
+
+@pytest.mark.parametrize("offset", [0, -8])
+def test_checkpoint_rejects_offset_off_the_previous_entry_end(tmp_path, offset):
+    import json
+    out = _saved_checkpoint(tmp_path)
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["params"][1]
+    want = entry["offset"]
+    entry["offset"] = offset                   # 0 would read the first entry's bytes again
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"manifest\.json: parameter '{entry['name']}' "
+                                         rf"offset {offset} != {want}"):
+        load_checkpoint(out)
