@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import Scenario
 from .decoder import PredictionSet
+from .tensor import Tensor
 
 DEFAULT_MISS_THRESHOLD = 2.0   # meters at the final timestep
 
@@ -62,23 +63,18 @@ class MetricReport:
         return buf.getvalue()
 
 
-def _trajs_probs(pred: PredictionSet) -> tuple[np.ndarray, np.ndarray]:
-    return pred.trajs.data, pred.probs.data
-
-
 def top_k_modes(pred: PredictionSet, k: int) -> PredictionSet:
     """The k most probable modes (stable order: ties keep the lower index)."""
-    trajs, probs = _trajs_probs(pred)
+    trajs, probs = pred.trajs.data, pred.probs.data
     if k > trajs.shape[0]:
         raise ValueError(f"requested top {k} modes but prediction has {trajs.shape[0]}")
     order = np.argsort(-probs, kind="stable")[:k]
-    from .tensor import Tensor
     return PredictionSet(trajs=Tensor(trajs[order]), probs=Tensor(probs[order]))
 
 
 def min_ade(pred: PredictionSet, gt: np.ndarray) -> float:
     """Minimum over modes of the mean L2 distance to ground truth."""
-    trajs, _ = _trajs_probs(pred)
+    trajs = pred.trajs.data
     gt = np.asarray(gt, dtype=np.float64)
     if trajs.shape[1:] != gt.shape:
         raise ValueError(f"min_ade: shapes {trajs.shape[1:]} vs {gt.shape}")
@@ -88,7 +84,7 @@ def min_ade(pred: PredictionSet, gt: np.ndarray) -> float:
 
 def min_fde(pred: PredictionSet, gt: np.ndarray) -> float:
     """Minimum over modes of the endpoint L2 distance."""
-    trajs, _ = _trajs_probs(pred)
+    trajs = pred.trajs.data
     gt = np.asarray(gt, dtype=np.float64)
     d = np.linalg.norm(trajs[:, -1, :] - gt[-1], axis=-1)
     return float(d.min())
@@ -109,7 +105,7 @@ def miss(pred: PredictionSet, gt: np.ndarray,
 
 def b_min_fde(pred: PredictionSet, gt: np.ndarray) -> float:
     """min_fde plus (1 - p)^2 for the probability of the endpoint-best mode."""
-    trajs, probs = _trajs_probs(pred)
+    trajs, probs = pred.trajs.data, pred.probs.data
     gt = np.asarray(gt, dtype=np.float64)
     d = np.linalg.norm(trajs[:, -1, :] - gt[-1], axis=-1)
     best = int(np.argmin(d))
@@ -136,7 +132,7 @@ def _aggregate(rows: list[TargetMetrics], k: int, threshold: float) -> MetricRep
 def _check_prediction(pred: PredictionSet, gt: np.ndarray, scenario_id: str,
                       target: int) -> None:
     """Raise ValueError on a step count unlike gt's or the first non-finite value."""
-    trajs, probs = _trajs_probs(pred)
+    trajs, probs = pred.trajs.data, pred.probs.data
     where = f"scenario {scenario_id!r} target {target}"
     if trajs.shape[1] != len(gt):
         raise ValueError(f"{where}: trajectory has {trajs.shape[1]} steps, "

@@ -13,7 +13,7 @@ import numpy as np
 
 from .attention import AttentionBlockParams, ssam
 from .config import ModelConfig
-from .data import NormalizedScenario, Scenario, TargetFrame, normalize
+from .data import Scenario, TargetFrame, normalize
 from .decoder import DecoderParams, PredictionSet, decode, denormalize
 from .freq import FreqMoEParams, moe_filter
 from .nn import LayerNorm, Mlp
@@ -99,9 +99,6 @@ class TrajectoryPredictor:
     def predict_scenario(self, scenario: Scenario) -> list[tuple[int, PredictionSet]]:
         """Global-frame prediction sets for every target in the scenario."""
         norm = normalize(scenario)
-        return self.predict_normalized(norm)
-
-    def predict_normalized(self, norm: NormalizedScenario) -> list[tuple[int, PredictionSet]]:
         if not norm.frames:
             return []
         trajs, probs = self.forward_frames(norm.frames)

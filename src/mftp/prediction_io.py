@@ -3,7 +3,8 @@
     {"predictions": [{"scenario": str, "target": int,
                       "modes": [{"prob": float, "traj": [[x, y], ...]}]}]}
 
-Trajectories are global-frame meters. Loading rejects a record whose
+Trajectories are global-frame meters. Loading rejects a `predictions` value
+that is not a list, a record whose target is not an integer, a record whose
 probabilities are not one finite, non-negative value per mode summing to 1,
 and a record that repeats an earlier (scenario, target) pair.
 """
@@ -43,16 +44,21 @@ def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "predictions" not in doc:
         raise ValueError(f"{path}: missing top-level 'predictions' list")
+    if not isinstance(doc["predictions"], list):
+        raise ValueError(f"{path}: 'predictions' must be a list, got "
+                         f"{type(doc['predictions']).__name__}")
     out: dict[tuple[str, int], PredictionSet] = {}
     for i, rec in enumerate(doc["predictions"]):
         try:
             sid = str(rec["scenario"])
-            target = int(rec["target"])
+            target = rec["target"]
             modes = rec["modes"]
             trajs = np.asarray([m["traj"] for m in modes], dtype=np.float64)
             probs = np.asarray([m["prob"] for m in modes], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed prediction record {i} ({exc})") from None
+        if type(target) is not int:
+            raise ValueError(f"{path}: record {i} target {target!r} is not an integer")
         if trajs.ndim != 3 or trajs.shape[-1] != 2:
             raise ValueError(f"{path}: record {i} trajectories must be [K, T, 2]")
         if probs.shape != trajs.shape[:1]:

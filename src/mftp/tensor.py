@@ -1,10 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the prediction network is a `Tensor` wrapping a
-contiguous float64 numpy array. Operations record a per-forward-pass DAG of
-closures; `Tensor.backward()` walks it once in reverse topological order,
-accumulates gradients into every `requires_grad` node it can reach, and then
-frees the graph. Complex quantities (frequency spectra) are carried as a
+contiguous float64 numpy array. Each operation records a tape node holding
+its parents and one vector-Jacobian product (VJP) per parent, which maps the
+output's gradient to that parent's share. A VJP may keep input and output
+arrays but never the output tensor, so the tape has no reference cycles and a
+forward pass that is never backpropagated is freed as soon as its outputs are
+dropped. `Tensor.backward()` is the one place that routes gradients: it walks
+the tape once in reverse topological order, accumulates gradients into every
+`requires_grad` node it can reach, and then frees the graph. Complex quantities (frequency spectra) are carried as a
 `ComplexTensor` pair of real tensors so the tape itself stays real-valued.
 
 Broadcasting follows numpy's trailing-dimension alignment. Anything fancier
@@ -69,29 +73,30 @@ def _sorted_sum_last(a: Array) -> Array:
 class Tensor:
     """A float64 array plus an optional slot on the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: Array = _as_array(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._vjps: tuple[Callable[[Array], Array], ...] = ()
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _from_op(data: Array, parents: tuple["Tensor", ...], backward: Callable[[], None]) -> "Tensor":
+    def _from_op(data: Array, parents: tuple["Tensor", ...],
+                 vjps: tuple[Callable[[Array], Array], ...]) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.requires_grad = any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
-            out._backward = backward
+            out._vjps = vjps
         else:
             out._parents = ()
-            out._backward = None
+            out._vjps = ()
         return out
 
     # -- basic introspection --------------------------------------------------
@@ -156,82 +161,46 @@ class Tensor:
 
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
-                node._backward = None
-                node._parents = ()
+            g = node.grad
+            for p, vjp in zip(node._parents, node._vjps):
+                if p.requires_grad:
+                    p._accum(vjp(g))
+            node._vjps = ()
+            node._parents = ()
 
     # -- elementwise arithmetic -------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _broadcast_shape(self.shape, other.shape, "add")
-        a, b = self, other
-        out_data = a.data + b.data
-
-        def backward():
-            if a.requires_grad:
-                a._accum(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(out.grad, b.shape))
-
-        out = Tensor._from_op(out_data, (a, b), backward)
-        return out
+        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
+        _broadcast_shape(a.shape, b.shape, "add")
+        return _node(a.data + b.data, (a, b),
+                     lambda g: _unbroadcast(g, a.shape),
+                     lambda g: _unbroadcast(g, b.shape))
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _broadcast_shape(self.shape, other.shape, "sub")
-        a, b = self, other
-        out_data = a.data - b.data
-
-        def backward():
-            if a.requires_grad:
-                a._accum(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-out.grad, b.shape))
-
-        out = Tensor._from_op(out_data, (a, b), backward)
-        return out
+        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
+        _broadcast_shape(a.shape, b.shape, "sub")
+        return _node(a.data - b.data, (a, b),
+                     lambda g: _unbroadcast(g, a.shape),
+                     lambda g: _unbroadcast(-g, b.shape))
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _broadcast_shape(self.shape, other.shape, "mul")
-        a, b = self, other
-        out_data = a.data * b.data
-
-        def backward():
-            if a.requires_grad:
-                a._accum(_unbroadcast(out.grad * b.data, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(out.grad * a.data, b.shape))
-
-        out = Tensor._from_op(out_data, (a, b), backward)
-        return out
+        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
+        _broadcast_shape(a.shape, b.shape, "mul")
+        return _node(a.data * b.data, (a, b),
+                     lambda g: _unbroadcast(g * b.data, a.shape),
+                     lambda g: _unbroadcast(g * a.data, b.shape))
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        _broadcast_shape(self.shape, other.shape, "div")
-        a, b = self, other
+        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
+        _broadcast_shape(a.shape, b.shape, "div")
         out_data = a.data / b.data
-
-        def backward():
-            if a.requires_grad:
-                a._accum(_unbroadcast(out.grad / b.data, a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-out.grad * out_data / b.data, b.shape))
-
-        out = Tensor._from_op(out_data, (a, b), backward)
-        return out
+        return _node(out_data, (a, b),
+                     lambda g: _unbroadcast(g / b.data, a.shape),
+                     lambda g: _unbroadcast(-g * out_data / b.data, b.shape))
 
     def __neg__(self) -> "Tensor":
-        a = self
-
-        def backward():
-            if a.requires_grad:
-                a._accum(-out.grad)
-
-        out = Tensor._from_op(-a.data, (a,), backward)
-        return out
+        return _node(-self.data, (self,), lambda g: -g)
 
     def __radd__(self, other) -> "Tensor":
         return Tensor(other) + self
@@ -255,18 +224,13 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
         try:
-            out_data = a.data.reshape(shape)
+            out_data = self.data.reshape(shape)
         except ValueError:
-            raise ValueError(f"reshape: cannot view shape {a.shape} as {shape}") from None
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad.reshape(a.shape))
-
-        out = Tensor._from_op(_contiguous(np.asarray(out_data)), (a,), backward)
-        return out
+            raise ValueError(f"reshape: cannot view shape {self.shape} as {shape}") from None
+        in_shape = self.shape
+        return _node(_contiguous(np.asarray(out_data)), (self,),
+                     lambda g: g.reshape(in_shape))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -275,144 +239,87 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         if sorted(axes) != list(range(self.ndim)):
             raise ValueError(f"transpose: axes {axes} are not a permutation for shape {self.shape}")
-        a = self
         inv = tuple(np.argsort(axes))
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad.transpose(inv))
-
-        out = Tensor._from_op(_contiguous(a.data.transpose(axes)), (a,), backward)
-        return out
+        return _node(_contiguous(self.data.transpose(axes)), (self,),
+                     lambda g: g.transpose(inv))
 
     def __getitem__(self, key) -> "Tensor":
-        a = self
-        out_data = a.data[key]
+        a = self.data
         advanced = _has_integer_index(key)
 
-        def backward():
-            g = np.zeros_like(a.data)
+        def scatter(g: Array) -> Array:
+            full = np.zeros_like(a)
             if advanced:
-                np.add.at(g, key, out.grad)
+                np.add.at(full, key, g)
             else:
-                g[key] += out.grad
-            a._accum(g)
+                full[key] += g
+            return full
 
-        out = Tensor._from_op(_contiguous(np.asarray(out_data)), (a,), backward)
-        return out
+        return _node(_contiguous(np.asarray(a[key])), (self,), scatter)
 
     # -- reductions -------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward():
-            if a.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(g, a.shape).copy())
-
-        out = Tensor._from_op(np.asarray(out_data), (a,), backward)
-        return out
+        in_shape = self.shape
+        return _node(np.asarray(self.data.sum(axis=axis, keepdims=keepdims)), (self,),
+                     lambda g: np.broadcast_to(_unreduce(g, axis, keepdims), in_shape).copy())
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data = a.data.mean(axis=axis, keepdims=keepdims)
-        count = a.data.size if axis is None else np.prod(
-            [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-
-        def backward():
-            if a.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(g, a.shape) / count)
-
-        out = Tensor._from_op(np.asarray(out_data), (a,), backward)
-        return out
+        in_shape = self.shape
+        count = self.data.size if axis is None else np.prod(
+            [in_shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+        return _node(np.asarray(self.data.mean(axis=axis, keepdims=keepdims)), (self,),
+                     lambda g: np.broadcast_to(_unreduce(g, axis, keepdims), in_shape) / count)
 
     # -- elementwise nonlinearities ------------------------------------------------
 
     def relu(self) -> "Tensor":
-        a = self
-        out_data = np.maximum(a.data, 0.0)
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad * (a.data > 0.0))
-
-        out = Tensor._from_op(out_data, (a,), backward)
-        return out
+        d = self.data
+        return _node(np.maximum(d, 0.0), (self,), lambda g: g * (d > 0.0))
 
     def square(self) -> "Tensor":
-        a = self
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad * 2.0 * a.data)
-
-        out = Tensor._from_op(a.data * a.data, (a,), backward)
-        return out
+        d = self.data
+        return _node(d * d, (self,), lambda g: g * 2.0 * d)
 
     def sqrt(self) -> "Tensor":
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad * 0.5 / out_data)
-
-        out = Tensor._from_op(out_data, (a,), backward)
-        return out
+        out_data = np.sqrt(self.data)
+        return _node(out_data, (self,), lambda g: g * 0.5 / out_data)
 
     def abs(self) -> "Tensor":
-        a = self
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad * np.sign(a.data))
-
-        out = Tensor._from_op(np.abs(a.data), (a,), backward)
-        return out
+        d = self.data
+        return _node(np.abs(d), (self,), lambda g: g * np.sign(d))
 
     def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad * out_data)
-
-        out = Tensor._from_op(out_data, (a,), backward)
-        return out
+        out_data = np.exp(self.data)
+        return _node(out_data, (self,), lambda g: g * out_data)
 
     def log(self) -> "Tensor":
-        a = self
-
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad / a.data)
-
-        out = Tensor._from_op(np.log(a.data), (a,), backward)
-        return out
+        d = self.data
+        return _node(np.log(d), (self,), lambda g: g / d)
 
     def sigmoid(self) -> "Tensor":
-        a = self
-        d = a.data
+        d = self.data
         out_data = np.empty_like(d)
         pos = d >= 0
         out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
         ex = np.exp(d[~pos])
         out_data[~pos] = ex / (1.0 + ex)
+        return _node(out_data, (self,), lambda g: g * out_data * (1.0 - out_data))
 
-        def backward():
-            if a.requires_grad:
-                a._accum(out.grad * out_data * (1.0 - out_data))
 
-        out = Tensor._from_op(out_data, (a,), backward)
-        return out
+def _node(data: Array, parents: tuple[Tensor, ...],
+          *vjps: Callable[[Array], Array]) -> Tensor:
+    """A tape node; `vjps[i]` maps the output's gradient to parent i's share.
+
+    A VJP may close over input and output arrays, never over the output
+    tensor, so the tape holds no reference cycles.
+    """
+    return Tensor._from_op(data, parents, vjps)
+
+
+def _unreduce(g: Array, axis, keepdims: bool) -> Array:
+    """Restore the axes a reduction dropped, so `g` broadcasts to its input."""
+    return g if axis is None or keepdims else np.expand_dims(g, axis)
 
 
 def _has_integer_index(key) -> bool:
@@ -448,16 +355,9 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     else:
         out_data = np.matmul(a.data, b.data)
 
-    def backward():
-        if a.requires_grad:
-            ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-            a._accum(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
-            b._accum(_unbroadcast(gb, b.shape))
-
-    out = Tensor._from_op(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b),
+                 lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+                 lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -466,18 +366,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not ts:
         raise ValueError("concat: empty tensor list")
     out_data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward():
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * out_data.ndim
-                idx[axis] = slice(int(lo), int(hi))
-                t._accum(out.grad[tuple(idx)])
-
-    out = Tensor._from_op(out_data, tuple(ts), backward)
-    return out
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
+    idx = [slice(None)] * out_data.ndim
+    vjps = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        idx[axis] = slice(int(lo), int(hi))
+        vjps.append(lambda g, key=tuple(idx): g[key])
+    return _node(out_data, tuple(ts), *vjps)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -487,53 +382,32 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    a = x
     try:
-        out_data = np.broadcast_to(a.data, shape).copy()
+        out_data = np.broadcast_to(x.data, shape).copy()
     except ValueError:
-        raise ValueError(f"broadcast_to: cannot expand shape {a.shape} to {shape}") from None
-
-    def backward():
-        if a.requires_grad:
-            a._accum(_unbroadcast(out.grad, a.shape))
-
-    out = Tensor._from_op(out_data, (a,), backward)
-    return out
+        raise ValueError(f"broadcast_to: cannot expand shape {x.shape} to {shape}") from None
+    in_shape = x.shape
+    return _node(out_data, (x,), lambda g: _unbroadcast(g, in_shape))
 
 
 def softmax(x: Tensor, exact_sum: bool = False) -> Tensor:
     """Row softmax over the last axis, max-subtracted for stability."""
-    a = x
-    z = a.data - a.data.max(axis=-1, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     if exact_sum:
         denom = _sorted_sum_last(np.array(e, order="C"))[..., None]   # a sorted copy
     else:
         denom = e.sum(axis=-1, keepdims=True)
     out_data = e / denom
-
-    def backward():
-        if a.requires_grad:
-            g = out.grad
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            a._accum(out_data * (g - dot))
-
-    out = Tensor._from_op(out_data, (a,), backward)
-    return out
+    return _node(out_data, (x,),
+                 lambda g: out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
 
 
 def cumsum(x: Tensor, axis: int) -> Tensor:
     """Running sum along an axis (position t = sum of entries 0..t)."""
-    a = x
-    out_data = np.cumsum(a.data, axis=axis)
-
-    def backward():
-        if a.requires_grad:
-            g = np.flip(np.cumsum(np.flip(out.grad, axis=axis), axis=axis), axis=axis)
-            a._accum(_contiguous(g))
-
-    out = Tensor._from_op(out_data, (a,), backward)
-    return out
+    return _node(np.cumsum(x.data, axis=axis), (x,),
+                 lambda g: _contiguous(np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis),
+                                               axis=axis)))
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:

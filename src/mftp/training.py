@@ -192,10 +192,26 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object, "
+                         f"got {type(manifest).__name__}")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{manifest_path}: unknown checkpoint format "
                          f"{manifest.get('format')!r}")
-    config = Config.from_dict(manifest["config"])
+    absent = [key for key in ("params", "config", "step") if key not in manifest]
+    if absent:
+        raise ValueError(f"{manifest_path}: missing manifest keys {absent}")
+    if not isinstance(manifest["params"], list):
+        raise ValueError(f"{manifest_path}: 'params' must be a list")
+    entry_keys = {"name", "shape", "offset", "count"}
+    for i, entry in enumerate(manifest["params"]):
+        if not isinstance(entry, dict) or not entry_keys <= entry.keys():
+            raise ValueError(f"{manifest_path}: parameter entry {i} must be an object "
+                             f"with keys {sorted(entry_keys)}")
+    try:
+        config = Config.from_dict(manifest["config"])
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"{manifest_path}: unknown or missing config key ({exc})") from None
     config.validate()
     model = TrajectoryPredictor(config.model, seed=config.training.seed)
     params = model.parameters()

@@ -346,3 +346,46 @@ def test_predict_rejects_truncated_checkpoint(tiny_setup, capsys):
     assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
                  "--out", str(tmp_path / "p.json")]) == 2
     assert "params.bin: parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [0.7, True, "1"])
+def test_prediction_file_rejects_non_integer_target(tmp_path, target):
+    path = _write_doc(tmp_path, [_record(), _record(target=target)])
+    with pytest.raises(ValueError, match=rf"record 1 target {target!r} is not an integer") as err:
+        load_predictions(path)
+    assert path in str(err.value)
+
+
+def test_prediction_file_rejects_predictions_that_are_not_a_list(tmp_path):
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps({"predictions": 5}))
+    with pytest.raises(ValueError, match=r"'predictions' must be a list, got int") as err:
+        load_predictions(str(path))
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"predictions": 5}, "'predictions' must be a list"),
+    ({"predictions": [_record(target=0.7)]}, "record 0 target 0.7 is not an integer"),
+])
+def test_eval_rejects_bad_prediction_structure(tiny_setup, capsys, doc, match):
+    _, _, scn_path, tmp_path = tiny_setup
+    pred_path = tmp_path / "bad_preds.json"
+    pred_path.write_text(json.dumps(doc))
+    assert main(["eval", "--predictions", str(pred_path), "--scenarios", scn_path,
+                 "--k", "1"]) == 2
+    assert f"{pred_path}: {match}" in capsys.readouterr().err
+
+
+def test_predict_rejects_manifest_missing_a_key(tiny_setup, capsys):
+    from mftp.model import TrajectoryPredictor
+    from mftp.training import save_checkpoint
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["step"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert "manifest.json: missing manifest keys ['step']" in capsys.readouterr().err

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from mftp.config import ModelConfig
 from mftp.data import GenConfig, generate_synthetic, normalize
 from mftp.model import TrajectoryPredictor, pack_frames
-from mftp.tensor import Tensor, grad_check_param
+from mftp.tensor import Tensor, grad_check_param, matmul
 
 
 def _tiny_model(seed=0, **overrides):
@@ -164,3 +167,36 @@ def test_end_to_end_grad_check_on_small_groups():
     for name in ("freq.gate_b", "decoder.tokens", "embed.fc1.b"):
         p = model.parameters()[name]
         assert grad_check_param(loss_fn, p) <= 1e-4, name
+
+
+@pytest.mark.parametrize("case", ["predict_scenario", "matmul_sigmoid_sum"])
+def test_forward_only_tape_is_freed_without_the_cycle_collector(monkeypatch, case):
+    """Dropping a forward pass's outputs frees its whole tape by refcount alone."""
+    model = _tiny_model()
+    scenario = generate_synthetic(GenConfig(num_scenarios=1, num_agents=3, t_history=8,
+                                            t_future=4), seed=0)[0]
+    w = Tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
+    make = Tensor.__dict__["_from_op"].__func__
+    arrays = []
+
+    def recorded(data, parents, vjps):
+        out = make(data, parents, vjps)
+        if out.requires_grad:
+            arrays.append(weakref.ref(out.data))
+        return out
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(recorded))
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if case == "predict_scenario":
+            out = model.predict_scenario(scenario)
+        else:
+            out = matmul(Tensor(np.ones((2, 4))), w).sigmoid().sum()
+        assert arrays
+        del out
+        alive = sum(ref() is not None for ref in arrays)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == 0, f"{alive} of {len(arrays)} tape arrays outlived their outputs"

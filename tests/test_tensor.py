@@ -285,3 +285,22 @@ def test_sorted_sum_rejects_strided_rows():
     # a strided last axis would be summed term by term, not pairwise
     with pytest.raises(ValueError, match="C-contiguous"):
         _sorted_sum_last(np.ones((3, 4)).T)
+
+
+@pytest.mark.parametrize("op_name", ["add", "sub", "mul", "div", "matmul", "rsub", "rdiv"])
+def test_right_operand_gradient_matches_finite_differences(op_name):
+    rng = np.random.default_rng(sum(map(ord, op_name)))
+    c34 = Tensor(rng.normal(size=(3, 4)))
+    c234 = Tensor(rng.normal(size=(2, 3, 4)))
+    builders = {                                  # t is the right operand, [4] or [4, 2]
+        "add": lambda t: (c34 + t).square().sum(),
+        "sub": lambda t: (c34 - t).square().sum(),
+        "mul": lambda t: (c34 * t).square().sum(),
+        "div": lambda t: (c34 / t).sum(),
+        "matmul": lambda t: matmul(c234, t).square().sum(),
+        "rsub": lambda t: (2.0 - t).square().sum(),
+        "rdiv": lambda t: (2.0 / t).sum(),
+    }
+    shape = (4, 2) if op_name == "matmul" else (4,)
+    x0 = rng.normal(size=shape) + 3.0             # positive, away from 0 for div
+    assert grad_check(builders[op_name], Tensor(x0)) <= 1e-4

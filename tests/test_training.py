@@ -207,3 +207,51 @@ def test_checkpoint_rejects_offset_off_the_previous_entry_end(tmp_path, offset):
     with pytest.raises(ValueError, match=rf"manifest\.json: parameter '{entry['name']}' "
                                          rf"offset {offset} != {want}"):
         load_checkpoint(out)
+
+
+def _rewrite_manifest(tmp_path, edit):
+    import json
+    out = _saved_checkpoint(tmp_path)
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(edit(manifest)))
+    return out, str(manifest_path)
+
+
+def test_checkpoint_rejects_manifest_that_is_not_an_object(tmp_path):
+    out, manifest_path = _rewrite_manifest(tmp_path, lambda m: [m])
+    with pytest.raises(ValueError, match=r"manifest must be a JSON object, got list") as err:
+        load_checkpoint(out)
+    assert manifest_path in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["params", "config", "step"])
+def test_checkpoint_rejects_manifest_missing_a_key(tmp_path, key):
+    def drop(m):
+        del m[key]
+        return m
+    out, manifest_path = _rewrite_manifest(tmp_path, drop)
+    with pytest.raises(ValueError, match=rf"missing manifest keys \['{key}'\]") as err:
+        load_checkpoint(out)
+    assert manifest_path in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["name", "offset"])
+def test_checkpoint_rejects_entry_missing_a_key(tmp_path, key):
+    def drop(m):
+        del m["params"][2][key]
+        return m
+    out, manifest_path = _rewrite_manifest(tmp_path, drop)
+    with pytest.raises(ValueError, match=r"parameter entry 2 must be an object with keys") as err:
+        load_checkpoint(out)
+    assert manifest_path in str(err.value)
+
+
+def test_checkpoint_rejects_unknown_config_key(tmp_path):
+    def add(m):
+        m["config"]["model"]["n_layers"] = 3
+        return m
+    out, manifest_path = _rewrite_manifest(tmp_path, add)
+    with pytest.raises(ValueError, match=r"unknown or missing config key .*n_layers") as err:
+        load_checkpoint(out)
+    assert manifest_path in str(err.value)
