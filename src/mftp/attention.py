@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerNorm, Linear, Mlp
-from .tensor import Tensor, matmul, softmax
+from .tensor import Tensor, linear, matmul, softmax
 
 
 @dataclass
@@ -91,7 +91,7 @@ def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear) -> Tensor:
     """
     B, Lq, D = q.shape
     Lk = k.shape[1]
-    hq = matmul(q, fc1.w[:D]) + fc1.b
+    hq = linear(q, fc1.w[:D], fc1.b)
     hk = matmul(k, fc1.w[D:])
     return hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, Lk, -1)
 

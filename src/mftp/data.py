@@ -222,35 +222,27 @@ def normalize(s: Scenario) -> NormalizedScenario:
     The target's t=0 pose maps to the origin and its last heading to +x,
     so predictions are translation and rotation invariant by construction.
     """
-    frames = []
-    for t in s.targets:
-        hist_t = s.agents[t].history
-        origin = hist_t[-1, :2].copy()
-        heading = _heading_at_origin(hist_t)
-        frame = TargetFrame(
-            target_index=t,
-            origin=origin,
-            heading=heading,
-            history=np.stack([_transform_track(a.history, origin, heading)
-                              for a in s.agents]),
-            future=np.stack([_transform_track(a.future, origin, heading)
-                             for a in s.agents]),
-            agent_valid=np.array([bool(np.any(a.history[:, 2] != 0.0))
-                                  for a in s.agents]),
-        )
-        frames.append(frame)
+    history = np.stack([a.history for a in s.agents])               # [N, T_h, 3]
+    origins = history[s.targets, -1, :2]                            # [B, 2]
+    headings = [_heading_at_origin(history[t]) for t in s.targets]
+    c, sn = (np.array([f(h) for h in headings]).reshape(-1, 1, 1) for f in (math.cos, math.sin))
+
+    def transform(tracks: np.ndarray) -> np.ndarray:                # -> [B, N, T, 3]
+        out = np.broadcast_to(tracks, (len(headings),) + tracks.shape).copy()
+        x, y = np.moveaxis(tracks[..., :2] - origins[:, None, None], -1, 0)
+        out[..., 0] = c * x + sn * y
+        out[..., 1] = -sn * x + c * y
+        out[:, tracks[..., 2] == 0.0, 0:2] = 0.0      # padded states carry no coordinates
+        return out
+
+    hist_local = transform(history)
+    fut_local = transform(np.stack([a.future for a in s.agents]))
+    agent_valid = np.any(history[..., 2] != 0.0, axis=1)
+    frames = [TargetFrame(target_index=t, origin=origins[b], heading=headings[b],
+                          history=hist_local[b], future=fut_local[b],
+                          agent_valid=agent_valid.copy())
+              for b, t in enumerate(s.targets)]
     return NormalizedScenario(scenario_id=s.scenario_id, dt=s.dt, frames=frames)
-
-
-def _transform_track(track: np.ndarray, origin: np.ndarray, heading: float) -> np.ndarray:
-    out = track.copy()
-    c, s = math.cos(heading), math.sin(heading)
-    x = track[:, 0] - origin[0]
-    y = track[:, 1] - origin[1]
-    out[:, 0] = c * x + s * y
-    out[:, 1] = -s * x + c * y
-    out[track[:, 2] == 0.0, 0:2] = 0.0      # padded states carry no coordinates
-    return out
 
 
 # -- synthetic scenario generation -------------------------------------------------

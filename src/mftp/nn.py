@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, layer_norm, matmul
+from .tensor import Tensor, layer_norm, linear
 
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray:
@@ -29,7 +29,7 @@ class Linear:
                       b=Tensor(np.zeros(fan_out), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.w) + self.b
+        return linear(x, self.w, self.b)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -66,7 +66,7 @@ class LayerNorm:
                          bias=Tensor(np.zeros(dim), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, eps=self.eps) * self.gain + self.bias
+        return layer_norm(x, self.gain, self.bias, self.eps)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import AttentionBlockParams, tsam
 from .nn import Linear, Mlp
-from .tensor import Tensor, broadcast_to, concat
+from .tensor import Tensor, broadcast_to, concat, windows
 
 
 def patch_count(t_len: int, window: int, stride: int) -> int:
@@ -30,15 +30,12 @@ def patchify(x: Tensor, window: int, stride: int) -> Tensor:
     Patch j covers timesteps [j*stride, j*stride + window); trailing steps
     that do not fill a window are dropped.
     """
-    B, T, C = x.shape
+    T = x.shape[1]
     if window > T:
         raise ValueError(f"patchify: window {window} exceeds sequence length {T}")
     if stride < 1:
         raise ValueError(f"patchify: stride must be >= 1, got {stride}")
-    n = patch_count(T, window, stride)
-    pieces = [x[:, j * stride: j * stride + window, :].reshape(B, 1, window * C)
-              for j in range(n)]
-    return concat(pieces, axis=1)
+    return windows(x, range(0, T - window + 1, stride), window)
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:

@@ -8,8 +8,10 @@ arrays but never the output tensor, so the tape has no reference cycles and a
 forward pass that is never backpropagated is freed as soon as its outputs are
 dropped. `Tensor.backward()` is the one place that routes gradients: it walks
 the tape once in reverse topological order, accumulates gradients into every
-`requires_grad` node it can reach, and then frees the graph. Complex quantities (frequency spectra) are carried as a
-`ComplexTensor` pair of real tensors so the tape itself stays real-valued.
+`requires_grad` node it can reach, and then frees the graph. `linear`,
+`layer_norm` and `windows` are fused ops, one node each where the composed
+ops would record several. Complex quantities (frequency spectra) are carried
+as a `ComplexTensor` pair of real tensors so the tape itself stays real-valued.
 
 Broadcasting follows numpy's trailing-dimension alignment. Anything fancier
 has to be an explicit reshape/broadcast_to at the call site.
@@ -245,17 +247,7 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         a = self.data
-        advanced = _has_integer_index(key)
-
-        def scatter(g: Array) -> Array:
-            full = np.zeros_like(a)
-            if advanced:
-                np.add.at(full, key, g)
-            else:
-                full[key] += g
-            return full
-
-        return _node(_contiguous(np.asarray(a[key])), (self,), scatter)
+        return _node(_contiguous(np.asarray(a[key])), (self,), lambda g: _scatter(a, key, g))
 
     # -- reductions -------------------------------------------------------------
 
@@ -322,9 +314,15 @@ def _unreduce(g: Array, axis, keepdims: bool) -> Array:
     return g if axis is None or keepdims else np.expand_dims(g, axis)
 
 
-def _has_integer_index(key) -> bool:
-    items = key if isinstance(key, tuple) else (key,)
-    return any(isinstance(k, (list, np.ndarray)) for k in items)
+def _scatter(a: Array, key, g: Array) -> Array:
+    """`g` added into zeros shaped like `a` at `key`: the VJP of `a[key]`."""
+    full = np.zeros_like(a)
+    keys = key if isinstance(key, tuple) else (key,)
+    if any(isinstance(k, (list, np.ndarray)) for k in keys):
+        np.add.at(full, key, g)
+    else:
+        full[key] += g
+    return full
 
 
 # -- free functions (ops that read better without method chaining) -----------------
@@ -342,22 +340,33 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
+    return _node(_matmul_data(a, b, exact_sum), (a, b), *_matmul_vjps(a, b))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`matmul(x, w) + b` as one tape node, with `matmul`'s product."""
+    out_data = _matmul_data(x, w, False)
+    out_data += b.data
+    return _node(out_data, (x, w, b), *_matmul_vjps(x, w),
+                 lambda g: _unbroadcast(g, b.shape))
+
+
+def _matmul_data(a: Tensor, b: Tensor, exact_sum: bool) -> Array:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul: operands must have ndim >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions mismatch, {a.shape} vs {b.shape}")
     _broadcast_shape(a.shape[:-2], b.shape[:-2], "matmul (leading axes)")
-
     if exact_sum or b.shape[-1] == 1:
         prod = np.multiply(a.data[..., :, None, :],                # [..., n, m, k]
                            np.swapaxes(b.data, -1, -2)[..., None, :, :], order="C")
-        out_data = _sorted_sum_last(prod) if exact_sum else prod.sum(axis=-1)
-    else:
-        out_data = np.matmul(a.data, b.data)
+        return _sorted_sum_last(prod) if exact_sum else prod.sum(axis=-1)
+    return np.matmul(a.data, b.data)
 
-    return _node(out_data, (a, b),
-                 lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-                 lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+
+def _matmul_vjps(a: Tensor, b: Tensor) -> tuple[Callable[[Array], Array], ...]:
+    return (lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+            lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -373,6 +382,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         idx[axis] = slice(int(lo), int(hi))
         vjps.append(lambda g, key=tuple(idx): g[key])
     return _node(out_data, tuple(ts), *vjps)
+
+
+def windows(x: Tensor, starts: Sequence[int], size: int) -> Tensor:
+    """Flattened windows `x[:, s:s + size, :]`, one per start: [B, T, C] -> [B, P, size*C].
+
+    One gather and one node, which lists `x` once per window: the backward adds
+    each window's gradient into `x.grad` in window order, as slicing each would.
+    """
+    B, _, C = x.shape
+    out_data = x.data[:, np.add.outer(starts, np.arange(size)), :].reshape(B, len(starts), size * C)
+    return _node(out_data, (x,) * len(starts),
+                 *(lambda g, j=j, s=s: _scatter(x.data, np.s_[:, s:s + size],
+                                                g[:, j].reshape(B, size, C))
+                   for j, s in enumerate(starts)))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -410,12 +433,25 @@ def cumsum(x: Tensor, axis: int) -> Tensor:
                                                axis=axis)))
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine part)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = centered.square().mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt()
+def layer_norm(x: Tensor, gain: Tensor | float = 1.0, bias: Tensor | float = 0.0,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then `* gain + bias`.
+
+    One tape node; the VJP of `x` is the closed form of the composed ops' one.
+    """
+    gain, bias = (t if isinstance(t, Tensor) else Tensor(t) for t in (gain, bias))
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered / std
+
+    def vjp_x(g: Array) -> Array:
+        g = g * gain.data
+        return (g - g.mean(axis=-1, keepdims=True)
+                - xhat * (g * xhat).mean(axis=-1, keepdims=True)) / std
+
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), vjp_x,
+                 lambda g: _unbroadcast(g * xhat, gain.shape),
+                 lambda g: _unbroadcast(g, bias.shape))
 
 
 # -- complex carrier -------------------------------------------------------------

@@ -191,7 +191,10 @@ def save_checkpoint(out_dir: str, model: TrajectoryPredictor, config: Config,
 def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object, "
                          f"got {type(manifest).__name__}")
@@ -201,6 +204,8 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     absent = [key for key in ("params", "config", "step") if key not in manifest]
     if absent:
         raise ValueError(f"{manifest_path}: missing manifest keys {absent}")
+    if type(manifest["step"]) is not int:
+        raise ValueError(f"{manifest_path}: step {manifest['step']!r} is not an integer")
     if not isinstance(manifest["params"], list):
         raise ValueError(f"{manifest_path}: 'params' must be a list")
     entry_keys = {"name", "shape", "offset", "count"}
@@ -245,4 +250,4 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     if len(blob) > end:
         raise ValueError(f"{params_path}: {len(blob) - end} bytes after the last "
                          f"parameter {name!r}")
-    return model, config, int(manifest["step"])
+    return model, config, manifest["step"]

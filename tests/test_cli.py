@@ -389,3 +389,32 @@ def test_predict_rejects_manifest_missing_a_key(tiny_setup, capsys):
     assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
                  "--out", str(tmp_path / "p.json")]) == 2
     assert "manifest.json: missing manifest keys ['step']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [2.7, "abc", True])
+def test_predict_rejects_step_that_is_not_an_integer(tiny_setup, capsys, step):
+    from mftp.model import TrajectoryPredictor
+    from mftp.training import save_checkpoint
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["step"] = step
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert f"manifest.json: step {step!r} is not an integer" in capsys.readouterr().err
+
+
+def test_predict_and_eval_reject_manifest_that_is_not_json(tiny_setup, capsys):
+    from mftp.model import TrajectoryPredictor
+    from mftp.training import save_checkpoint
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    (ckpt / "manifest.json").write_text("{not json")
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert f"{ckpt / 'manifest.json'}: not valid JSON" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", str(ckpt), "--scenarios", scn_path, "--k", "1"]) == 2
+    assert f"{ckpt / 'manifest.json'}: not valid JSON" in capsys.readouterr().err

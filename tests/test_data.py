@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mftp.data import (
     GenConfig,
     Scenario,
     ScenarioFormatError,
+    _heading_at_origin,
     generate_synthetic,
     load_scenarios,
     normalize,
@@ -304,3 +306,49 @@ def test_load_rejects_bad_record_structure(tmp_path, case):
     with pytest.raises(ScenarioFormatError, match=match) as err:
         load_scenarios(path)
     assert str(err.value).startswith(f"{path}: scenario 0")
+
+
+def _reference_normalize_frame(s, t):
+    """Per-track loop: the target's frame built one agent and one track at a time."""
+    origin = s.agents[t].history[-1, :2].copy()
+    heading = _heading_at_origin(s.agents[t].history)
+    c, sn = math.cos(heading), math.sin(heading)
+
+    def transform(track):
+        out = track.copy()
+        x = track[:, 0] - origin[0]
+        y = track[:, 1] - origin[1]
+        out[:, 0] = c * x + sn * y
+        out[:, 1] = -sn * x + c * y
+        out[track[:, 2] == 0.0, 0:2] = 0.0
+        return out
+
+    return (origin, heading,
+            np.stack([transform(a.history) for a in s.agents]),
+            np.stack([transform(a.future) for a in s.agents]),
+            np.array([bool(np.any(a.history[:, 2] != 0.0)) for a in s.agents]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_normalize_equals_per_track_reference_bitwise(seed):
+    cfg = GenConfig(num_scenarios=3, num_agents=7, num_targets=4, noise_std=0.3)
+    rng = np.random.default_rng(seed)
+    for s in generate_synthetic(cfg, seed=seed):
+        for i, agent in enumerate(s.agents):
+            for track in (agent.history, agent.future):
+                drop = rng.random(track.shape[0]) < 0.3
+                track[drop, :2] = rng.normal(size=(int(drop.sum()), 2)) * 1e3
+                track[drop, 2] = 0.0
+            if i in s.targets:
+                agent.history[-1, 2] = 1.0          # targets keep their t=0 pose
+        s.agents[-1].history[:, 2] = 0.0            # one agent with no valid state
+        norm = normalize(s)
+        assert [f.target_index for f in norm.frames] == s.targets
+        for frame in norm.frames:
+            origin, heading, hist, fut, valid = _reference_normalize_frame(
+                s, frame.target_index)
+            assert np.array_equal(frame.origin, origin)
+            assert frame.heading == heading
+            assert np.array_equal(frame.history, hist)
+            assert np.array_equal(frame.future, fut)
+            assert np.array_equal(frame.agent_valid, valid)

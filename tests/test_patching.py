@@ -12,7 +12,7 @@ from mftp.patching import (
     patchify,
     sinusoidal_encoding,
 )
-from mftp.tensor import Tensor, grad_check
+from mftp.tensor import Tensor, concat, grad_check
 
 from test_attention import manual_block
 from mftp.attention import CausalMask
@@ -201,3 +201,35 @@ def test_zero_history_node_ignores_input_weights():
     # but biases do matter
     embed.fc1.b.data[:] += 0.1
     assert not np.array_equal(run(zeros).data, base)
+
+
+def _composed_patchify(x, window, stride):
+    B, T, C = x.shape
+    return concat([x[:, j * stride: j * stride + window, :].reshape(B, 1, window * C)
+                   for j in range(patch_count(T, window, stride))], axis=1)
+
+
+@pytest.mark.parametrize("t_len,window,stride", [(8, 2, 1), (8, 4, 2), (8, 8, 8),
+                                                 (9, 4, 1), (11, 5, 2)])
+def test_patchify_forward_and_gradients_equal_composed_bitwise(t_len, window, stride):
+    # x also feeds a second consumer whose gradient arrives first, so the
+    # patches' shares join a running sum whose order the gather must keep
+    rng = np.random.default_rng(t_len * 100 + window * 10 + stride)
+    x0 = rng.normal(size=(3, t_len, 2))
+    mix = rng.normal(size=(3, patch_count(t_len, window, stride), window * 2))
+    results = []
+    for op in (patchify, _composed_patchify):
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = op(x, window, stride)
+        ((x * 0.3).exp().sum() + (out * mix).square().sum()).backward()
+        results.append((out.data, x.grad))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert np.array_equal(results[0][1], results[1][1])
+
+
+@pytest.mark.parametrize("window,stride", [(2, 1), (5, 2), (8, 8)])
+def test_patchify_grad_check(window, stride):
+    rng = np.random.default_rng(window + stride)
+    mix = Tensor(rng.normal(size=(2, patch_count(8, window, stride), window * 3)))
+    x0 = Tensor(rng.normal(size=(2, 8, 3)))
+    assert grad_check(lambda t: (patchify(t, window, stride) * mix).square().sum(), x0) <= 1e-4

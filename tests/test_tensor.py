@@ -13,7 +13,9 @@ from mftp.tensor import (
     concat,
     cumsum,
     grad_check,
+    grad_check_param,
     layer_norm,
+    linear,
     matmul,
     softmax,
     stack,
@@ -304,3 +306,71 @@ def test_right_operand_gradient_matches_finite_differences(op_name):
     shape = (4, 2) if op_name == "matmul" else (4,)
     x0 = rng.normal(size=shape) + 3.0             # positive, away from 0 for div
     assert grad_check(builders[op_name], Tensor(x0)) <= 1e-4
+
+
+def _composed_linear(x, w, b):
+    return matmul(x, w) + b
+
+
+def _composed_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = centered.square().mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gain + bias
+
+
+def _leaves(*arrays):
+    return [Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+
+@pytest.mark.parametrize("x_shape, fan_out", [((5, 4), 3), ((2, 6, 4), 1), ((3, 2, 7, 8), 8)])
+def test_linear_forward_and_gradients_equal_composed_bitwise(x_shape, fan_out):
+    rng = np.random.default_rng(sum(x_shape) + fan_out)
+    arrays = (rng.normal(size=x_shape), rng.normal(size=(x_shape[-1], fan_out)),
+              rng.normal(size=fan_out))
+    mix = rng.normal(size=x_shape[:-1] + (fan_out,))
+    grads = []
+    for op in (linear, _composed_linear):
+        x, w, b = _leaves(*arrays)
+        out = op(x, w, b)
+        (out * mix).sum().backward()
+        grads.append((out.data, x.grad, w.grad, b.grad))
+    for fused, composed in zip(*grads):
+        assert np.array_equal(fused, composed)
+
+
+def test_linear_gradients_match_finite_differences():
+    rng = np.random.default_rng(6)
+    x, w, b = _leaves(rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)),
+                      rng.normal(size=5))
+    mix = Tensor(rng.normal(size=(2, 3, 5)))
+    for p in (x, w, b):
+        assert grad_check_param(lambda: (linear(x, w, b).square() * mix).sum(), p) <= 1e-4
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 8), (2, 4, 16)])
+def test_affine_layer_norm_forward_equals_composed_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    x = Tensor(rng.normal(size=shape) * 3.0 + 1.0)
+    gain, bias = Tensor(rng.normal(size=shape[-1])), Tensor(rng.normal(size=shape[-1]))
+    assert np.array_equal(layer_norm(x, gain, bias).data,
+                          _composed_layer_norm(x, gain, bias).data)
+    assert np.array_equal(layer_norm(x).data,
+                          _composed_layer_norm(x, Tensor(1.0), Tensor(0.0)).data)
+
+
+def test_affine_layer_norm_gradients_match_finite_differences_and_composed():
+    rng = np.random.default_rng(7)
+    arrays = (rng.normal(size=(2, 3, 6)) * 2.0, rng.normal(size=6), rng.normal(size=6))
+    mix = Tensor(rng.normal(size=(2, 3, 6)))
+    x, gain, bias = _leaves(*arrays)
+    for p in (x, gain, bias):
+        assert grad_check_param(lambda: (layer_norm(x, gain, bias) * mix).square().sum(),
+                                p) <= 1e-4
+    grads = []
+    for op in (layer_norm, _composed_layer_norm):
+        x, gain, bias = _leaves(*arrays)
+        (op(x, gain, bias) * mix).square().sum().backward()
+        grads.append((x.grad, gain.grad, bias.grad))
+    for fused, composed in zip(*grads):
+        assert np.allclose(fused, composed, rtol=1e-12, atol=1e-12)

@@ -13,6 +13,7 @@ from mftp.training import (
     load_training_scenarios,
     save_checkpoint,
     train,
+    train_step,
 )
 
 
@@ -255,3 +256,44 @@ def test_checkpoint_rejects_unknown_config_key(tmp_path):
     with pytest.raises(ValueError, match=r"unknown or missing config key .*n_layers") as err:
         load_checkpoint(out)
     assert manifest_path in str(err.value)
+
+
+@pytest.mark.parametrize("step", [2.7, "abc", True, None])
+def test_checkpoint_rejects_step_that_is_not_an_integer(tmp_path, step):
+    def edit(m):
+        m["step"] = step
+        return m
+    out, manifest_path = _rewrite_manifest(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"step .* is not an integer") as err:
+        load_checkpoint(out)
+    assert manifest_path in str(err.value)
+
+
+def test_checkpoint_keeps_integer_step(tmp_path):
+    cfg = _tiny_config(steps=0)
+    out = str(tmp_path / "ckpt")
+    save_checkpoint(out, TrajectoryPredictor(cfg.model, seed=0), cfg, step=7)
+    assert load_checkpoint(out)[2] == 7
+
+
+def test_checkpoint_rejects_manifest_that_is_not_json(tmp_path):
+    out = _saved_checkpoint(tmp_path)
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest_path.write_text("{not json")
+    with pytest.raises(ValueError, match=r"manifest\.json: not valid JSON") as err:
+        load_checkpoint(out)
+    assert str(manifest_path) in str(err.value)
+
+
+def test_one_default_train_step_gives_every_parameter_a_finite_gradient():
+    cfg = Config()
+    items = build_training_items(load_training_scenarios(cfg))
+    model = TrajectoryPredictor(cfg.model, seed=cfg.training.seed)
+    params = model.parameters()
+    optimizer = Adam(params, lr=cfg.training.learning_rate)
+    batch = [items[i] for i in _batch_indices(0, cfg.training.batch_size, len(items))]
+    train_step(model, optimizer, batch, cfg)
+    assert len(params) == 126
+    missing = [k for k, p in params.items() if p.grad is None]
+    assert missing == []
+    assert [k for k, p in params.items() if not np.all(np.isfinite(p.grad))] == []
