@@ -26,11 +26,11 @@ holds bit-exactly, not just to rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import LayerNorm, Linear, Mlp
+from .nn import LayerNorm, Linear, Mlp, Module
 from .tensor import Tensor, linear, matmul, softmax
 
 
@@ -61,11 +61,11 @@ class AttentionScores:
 
 
 @dataclass
-class SelectiveAttentionParams:
+class SelectiveAttentionParams(Module):
     """Gate MLP, output projection, and post-attention layer norm."""
     n_heads: int
-    gate_mlp: Mlp              # 2D -> D -> 1, sigmoid applied outside
-    out_proj: Linear           # D -> D
+    gate_mlp: Mlp = field(metadata={"param": "gate"})     # 2D -> D -> 1, sigmoid outside
+    out_proj: Linear = field(metadata={"param": "out"})   # D -> D
     ln: LayerNorm
 
     @staticmethod
@@ -76,11 +76,6 @@ class SelectiveAttentionParams:
             out_proj=Linear.create(rng, dim, dim),
             ln=LayerNorm.create(dim),
         )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.gate_mlp.named(f"{prefix}.gate"),
-                **self.out_proj.named(f"{prefix}.out"),
-                **self.ln.named(f"{prefix}.ln")}
 
 
 def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear) -> Tensor:
@@ -161,7 +156,7 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 @dataclass
-class AttentionBlockParams:
+class AttentionBlockParams(Module):
     """QKV projections + selective attention + feed-forward sublayer."""
     w_q: Linear
     w_k: Linear
@@ -180,16 +175,6 @@ class AttentionBlockParams:
             ffn=Mlp.create(rng, dim, 2 * dim, dim),
             ffn_ln=LayerNorm.create(dim),
         )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.w_q.named(f"{prefix}.w_q"))
-        out.update(self.w_k.named(f"{prefix}.w_k"))
-        out.update(self.w_v.named(f"{prefix}.w_v"))
-        out.update(self.attn.named(f"{prefix}.attn"))
-        out.update(self.ffn.named(f"{prefix}.ffn"))
-        out.update(self.ffn_ln.named(f"{prefix}.ffn_ln"))
-        return out
 
 
 def _block(x_q: Tensor, x_kv: Tensor, params: AttentionBlockParams,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .attention import AttentionBlockParams, cross_attention
 from .data import TargetFrame
-from .nn import Linear
-from .tensor import Tensor, broadcast_to, cumsum, softmax
+from .nn import Linear, Module
+from .tensor import Tensor, cumsum, softmax
 
 
 @dataclass
@@ -33,7 +33,7 @@ class PredictionSet:
 
 
 @dataclass
-class DecoderParams:
+class DecoderParams(Module):
     tokens: Tensor             # [K, C] learnable mode tokens
     cross: AttentionBlockParams
     traj_head: Linear          # C -> T_f * 2 displacement offsets
@@ -53,12 +53,6 @@ class DecoderParams:
     @property
     def n_modes(self) -> int:
         return self.tokens.shape[0]
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.tokens": self.tokens,
-                **self.cross.named(f"{prefix}.cross"),
-                **self.traj_head.named(f"{prefix}.traj_head"),
-                **self.cls_head.named(f"{prefix}.cls_head")}
 
 
 def decode(e_a: Tensor, target_index, params: DecoderParams, rounds: int,
@@ -83,7 +77,7 @@ def decode(e_a: Tensor, target_index, params: DecoderParams, rounds: int,
     K = params.n_modes
 
     target = e_a[np.arange(B), target_index]                 # [B, C]
-    queries = broadcast_to(target.reshape(B, 1, C), (B, K, C)) + params.tokens
+    queries = target.reshape(B, 1, C) + params.tokens         # [B, K, C]
     for _ in range(rounds):
         queries = cross_attention(queries, e_a, validity, params.cross)
 

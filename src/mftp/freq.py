@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ComplexTensor, Tensor, matmul, softmax
+from .nn import Module
+from .tensor import ComplexTensor, Tensor, linear, matmul, softmax
 
 MAGNITUDE_EPS = 1e-12   # smooths d|z|/dz at the origin
 
@@ -126,7 +127,7 @@ def expert_of_bin(masks: list[ExpertMask], n_bins: int) -> np.ndarray:
 
 
 @dataclass
-class FreqMoEParams:
+class FreqMoEParams(Module):
     """Band layout plus the gate's linear projection (zero init => uniform gate)."""
     t_padded: int
     n_experts: int
@@ -153,15 +154,12 @@ class FreqMoEParams:
             bin_owner=expert_of_bin(masks, n_bins),
         )
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gate_w": self.gate_w, f"{prefix}.gate_b": self.gate_b}
-
 
 def gate(spectrum: ComplexTensor, params: FreqMoEParams) -> Tensor:
     """Per-batch expert weights on the simplex, from channel-averaged magnitude."""
     mag = spectrum.magnitude(eps=MAGNITUDE_EPS)          # [B, F, C]
     pooled = mag.mean(axis=-1)                           # [B, F]
-    scores = matmul(pooled, params.gate_w) + params.gate_b
+    scores = linear(pooled, params.gate_w, params.gate_b)
     return softmax(scores)                               # [B, N_e]
 
 

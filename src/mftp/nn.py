@@ -1,7 +1,13 @@
-"""Small learnable building blocks shared across the network."""
+"""Small learnable building blocks shared across the network.
+
+Every block is a dataclass inheriting `Module`, whose `named` collects the
+trainable tensors of its fields by dotted path; a field saved under another
+name says so with `field(metadata={"param": name})`.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -15,28 +21,39 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.n
     return rng.uniform(-bound, bound, size=shape)
 
 
+class Module:
+    """Base of the parameter dataclasses; adds no fields."""
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        """Every `requires_grad` tensor below this module, in field order."""
+        out: dict[str, Tensor] = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            path = f"{prefix}.{f.metadata.get('param', f.name)}"
+            if isinstance(value, Module):
+                out.update(value.named(path))
+            elif isinstance(value, Tensor) and value.requires_grad:
+                out[path] = value
+        return out
+
+
 @dataclass
-class Linear:
+class Linear(Module):
     w: Tensor                  # [fan_in, fan_out]
     b: Tensor                  # [fan_out]
 
     @staticmethod
-    def create(rng: np.random.Generator, fan_in: int, fan_out: int,
-               zero_init: bool = False) -> "Linear":
-        w = np.zeros((fan_in, fan_out)) if zero_init else kaiming_uniform(
-            rng, fan_in, (fan_in, fan_out))
-        return Linear(w=Tensor(w, requires_grad=True),
+    def create(rng: np.random.Generator, fan_in: int, fan_out: int) -> "Linear":
+        return Linear(w=Tensor(kaiming_uniform(rng, fan_in, (fan_in, fan_out)),
+                               requires_grad=True),
                       b=Tensor(np.zeros(fan_out), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-
 
 @dataclass
-class Mlp:
+class Mlp(Module):
     """Two-layer perceptron with ReLU in between."""
     fc1: Linear
     fc2: Linear
@@ -49,16 +66,12 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(self.fc1(x).relu())
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.fc1.named(f"{prefix}.fc1"), **self.fc2.named(f"{prefix}.fc2")}
-
 
 @dataclass
-class LayerNorm:
+class LayerNorm(Module):
     """Affine layer norm over the last axis."""
     gain: Tensor
     bias: Tensor
-    eps: float = 1e-5
 
     @staticmethod
     def create(dim: int) -> "LayerNorm":
@@ -66,7 +79,4 @@ class LayerNorm:
                          bias=Tensor(np.zeros(dim), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
+        return layer_norm(x, self.gain, self.bias)

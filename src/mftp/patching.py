@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionBlockParams, tsam
-from .nn import Linear, Mlp
+from .nn import Linear, Mlp, Module
 from .tensor import Tensor, broadcast_to, concat, windows
 
 
@@ -48,7 +48,7 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
 
 
 @dataclass
-class GranularityEncoderParams:
+class GranularityEncoderParams(Module):
     window: int
     stride: int
     proj: Linear                   # window*C -> D_p
@@ -66,11 +66,6 @@ class GranularityEncoderParams:
             block=AttentionBlockParams.create(rng, d_patch, n_heads),
         )
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.proj.named(f"{prefix}.proj"),
-                f"{prefix}.token": self.token,
-                **self.block.named(f"{prefix}.block")}
-
 
 def encode_granularity(x: Tensor, params: GranularityEncoderParams) -> Tensor:
     """Summarize [B, T, C] at one granularity into [B, D_p] via the token."""
@@ -85,7 +80,7 @@ def encode_granularity(x: Tensor, params: GranularityEncoderParams) -> Tensor:
 
 
 @dataclass
-class FusionParams:
+class FusionParams(Module):
     mlp: Mlp                       # N_g * D_p -> hidden -> C
 
     @staticmethod
@@ -93,9 +88,6 @@ class FusionParams:
                channels: int) -> "FusionParams":
         return FusionParams(mlp=Mlp.create(rng, n_granularities * d_patch,
                                            channels, channels))
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return self.mlp.named(f"{prefix}.mlp")
 
 
 def fuse_granularities(summaries: list[Tensor], params: FusionParams) -> Tensor:

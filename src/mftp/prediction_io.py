@@ -3,10 +3,11 @@
     {"predictions": [{"scenario": str, "target": int,
                       "modes": [{"prob": float, "traj": [[x, y], ...]}]}]}
 
-Trajectories are global-frame meters. Loading rejects a `predictions` value
-that is not a list, a record whose target is not an integer, a record whose
-probabilities are not one finite, non-negative value per mode summing to 1,
-and a record that repeats an earlier (scenario, target) pair.
+Trajectories are global-frame meters. Loading rejects a file that is not
+valid JSON, a `predictions` value that is not a list, a record whose target
+is not an integer, a record whose probabilities are not one finite,
+non-negative value per mode summing to 1, and a record that repeats an
+earlier (scenario, target) pair.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ def write_predictions(path: str,
 
 def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or "predictions" not in doc:
         raise ValueError(f"{path}: missing top-level 'predictions' list")
     if not isinstance(doc["predictions"], list):

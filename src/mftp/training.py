@@ -24,18 +24,15 @@ from .tensor import Tensor
 CHECKPOINT_FORMAT = "mftp-checkpoint-v1"
 MANIFEST_NAME = "manifest.json"
 PARAMS_NAME = "params.bin"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Adam with bias correction; state is kept per parameter name."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -46,18 +43,18 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * p.grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * p.grad * p.grad
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 @dataclass
@@ -204,8 +201,12 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     absent = [key for key in ("params", "config", "step") if key not in manifest]
     if absent:
         raise ValueError(f"{manifest_path}: missing manifest keys {absent}")
+    if manifest.get("dtype") != "<f8":
+        raise ValueError(f"{manifest_path}: dtype {manifest.get('dtype')!r} is not '<f8'")
     if type(manifest["step"]) is not int:
         raise ValueError(f"{manifest_path}: step {manifest['step']!r} is not an integer")
+    if manifest["step"] < 0:
+        raise ValueError(f"{manifest_path}: step {manifest['step']} is negative")
     if not isinstance(manifest["params"], list):
         raise ValueError(f"{manifest_path}: 'params' must be a list")
     entry_keys = {"name", "shape", "offset", "count"}

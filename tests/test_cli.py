@@ -418,3 +418,54 @@ def test_predict_and_eval_reject_manifest_that_is_not_json(tiny_setup, capsys):
     assert f"{ckpt / 'manifest.json'}: not valid JSON" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", str(ckpt), "--scenarios", scn_path, "--k", "1"]) == 2
     assert f"{ckpt / 'manifest.json'}: not valid JSON" in capsys.readouterr().err
+
+
+def test_eval_rejects_horizon_mismatch(tiny_setup, capsys):
+    cfg, cfg_path, _, tmp_path = tiny_setup
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_path, "--out", out]) == 0
+
+    other = generate_synthetic(GenConfig(num_scenarios=1, num_agents=2,
+                                         t_history=6, t_future=4), seed=0)
+    other_path = str(tmp_path / "other.json")
+    save_scenarios(other_path, other)
+    assert main(["eval", "--checkpoint", out, "--scenarios", other_path, "--k", "1"]) == 2
+    assert f"scenario {other[0].scenario_id}: horizons (6, 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("dtype", "<f4", "dtype '<f4' is not '<f8'"),
+    ("step", -3, "step -3 is negative"),
+])
+def test_predict_and_eval_reject_bad_manifest_dtype_or_step(tiny_setup, capsys, key, value,
+                                                            match):
+    from mftp.model import TrajectoryPredictor
+    from mftp.training import save_checkpoint
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest[key] = value
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert f"{ckpt / 'manifest.json'}: {match}" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", str(ckpt), "--scenarios", scn_path, "--k", "1"]) == 2
+    assert f"{ckpt / 'manifest.json'}: {match}" in capsys.readouterr().err
+
+
+def test_prediction_file_rejects_invalid_json(tmp_path):
+    path = tmp_path / "preds.json"
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match=r"not valid JSON") as err:
+        load_predictions(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_eval_rejects_prediction_file_that_is_not_json(tiny_setup, capsys):
+    _, _, scn_path, tmp_path = tiny_setup
+    pred_path = tmp_path / "bad_preds.json"
+    pred_path.write_text("{not json")
+    assert main(["eval", "--predictions", str(pred_path), "--scenarios", scn_path,
+                 "--k", "1"]) == 2
+    assert f"{pred_path}: not valid JSON" in capsys.readouterr().err

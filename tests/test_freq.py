@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mftp.freq import (
+    MAGNITUDE_EPS,
     ExpertMask,
     FreqMoEParams,
     build_masks,
@@ -14,7 +15,7 @@ from mftp.freq import (
     next_pow2,
     rfft,
 )
-from mftp.tensor import ComplexTensor, Tensor, grad_check
+from mftp.tensor import ComplexTensor, Tensor, grad_check, matmul, softmax
 
 from oracles import naive_bandpass, naive_irfft, naive_rfft
 
@@ -269,3 +270,29 @@ def test_moe_filter_padded_gradient_wrt_input():
         return (moe_filter(t, params) - Tensor(target)).square().mean()
 
     assert grad_check(loss, Tensor(x0)) <= 1e-4
+
+
+@pytest.mark.parametrize("n_experts", [1, 3])
+def test_gate_is_bitwise_a_matmul_plus_bias(n_experts):
+    """`gate` equals softmax(matmul(pooled, gate_w) + gate_b), forward and backward."""
+    rng = np.random.default_rng(11)
+    x0 = rng.normal(size=(4, 8, 3))
+    probe = rng.normal(size=(4, n_experts))
+    w0 = rng.normal(size=(5, n_experts))
+    b0 = rng.normal(size=n_experts)
+
+    def run(weights_of):
+        x = Tensor(x0, requires_grad=True)
+        params = FreqMoEParams.create(t_len=8, n_experts=n_experts)
+        params.gate_w.data[:] = w0
+        params.gate_b.data[:] = b0
+        out = weights_of(rfft(x), params)
+        (out * Tensor(probe)).sum().backward()
+        return out.data, x.grad, params.gate_w.grad, params.gate_b.grad
+
+    def reference(spectrum, params):
+        pooled = spectrum.magnitude(eps=MAGNITUDE_EPS).mean(axis=-1)
+        return softmax(matmul(pooled, params.gate_w) + params.gate_b)
+
+    for got, want in zip(run(gate), run(reference)):
+        assert got.tobytes() == want.tobytes()

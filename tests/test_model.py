@@ -1,10 +1,13 @@
+import dataclasses
 import gc
+import hashlib
+import json
 import weakref
 
 import numpy as np
 import pytest
 
-from mftp.config import ModelConfig
+from mftp.config import Config, ModelConfig
 from mftp.data import GenConfig, generate_synthetic, normalize
 from mftp.model import TrajectoryPredictor, pack_frames
 from mftp.tensor import Tensor, grad_check_param, matmul
@@ -200,3 +203,38 @@ def test_forward_only_tape_is_freed_without_the_cycle_collector(monkeypatch, cas
         if was_enabled:
             gc.enable()
     assert alive == 0, f"{alive} of {len(arrays)} tape arrays outlived their outputs"
+
+
+def _trainable_tensors(value, found):
+    """Every requires_grad tensor reachable through dataclass fields, lists and tuples."""
+    if isinstance(value, Tensor):
+        if value.requires_grad:
+            found.append(value)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _trainable_tensors(getattr(value, f.name), found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _trainable_tensors(item, found)
+    return found
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig(),
+    ModelConfig(n_experts=1, granularities=[[4, 2], [8, 8]]),
+])
+def test_parameters_list_every_trainable_tensor_once(config):
+    model = TrajectoryPredictor(config, seed=0)
+    found = []
+    for value in vars(model).values():
+        _trainable_tensors(value, found)
+    listed = [id(p) for p in model.parameters().values()]
+    assert len(set(listed)) == len(listed)
+    assert sorted(id(t) for t in found) == sorted(listed)
+
+
+def test_parameter_layout_is_the_v1_checkpoint_layout():
+    params = TrajectoryPredictor(Config().model, seed=0).parameters()
+    layout = json.dumps([[name, list(p.shape)] for name, p in params.items()])
+    assert hashlib.sha256(layout.encode()).hexdigest() == (
+        "803ecf9937d1a629042d50965005e25a84e78e13bba65a2a32dbc2fa9f5031c9")

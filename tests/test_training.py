@@ -297,3 +297,23 @@ def test_one_default_train_step_gives_every_parameter_a_finite_gradient():
     missing = [k for k, p in params.items() if p.grad is None]
     assert missing == []
     assert [k for k, p in params.items() if not np.all(np.isfinite(p.grad))] == []
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f8", None])
+def test_checkpoint_rejects_dtype_other_than_little_endian_float64(tmp_path, dtype):
+    def edit(m):
+        m["dtype"] = dtype
+        return m
+    out, manifest_path = _rewrite_manifest(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"dtype {dtype!r} is not '<f8'") as err:
+        load_checkpoint(out)
+    assert manifest_path in str(err.value)
+
+
+def test_checkpoint_rejects_negative_step(tmp_path):
+    cfg = _tiny_config(steps=0)
+    out = str(tmp_path / "ckpt")
+    save_checkpoint(out, TrajectoryPredictor(cfg.model, seed=0), cfg, step=-3)
+    with pytest.raises(ValueError, match=r"step -3 is negative") as err:
+        load_checkpoint(out)
+    assert str(tmp_path / "ckpt" / "manifest.json") in str(err.value)
