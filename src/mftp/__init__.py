@@ -11,7 +11,6 @@ patch-wise structural loss (correlation + variance + mean terms).
 
 from .config import Config, ModelConfig, TrainingConfig
 from .data import (
-    AgentState,
     GenConfig,
     Scenario,
     generate_synthetic,
@@ -26,7 +25,6 @@ from .tensor import ComplexTensor, Tensor, grad_check, grad_check_param
 from .training import load_checkpoint, save_checkpoint, train
 
 __all__ = [
-    "AgentState",
     "ComplexTensor",
     "Config",
     "GenConfig",

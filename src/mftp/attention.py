@@ -119,10 +119,10 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     dh = D // H
 
     qh = q.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)      # [B, H, Lq, dh]
-    kh = k.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3)
+    kt = k.reshape(B, Lk, H, dh).transpose(0, 2, 3, 1)      # [B, H, dh, Lk]
     vh = v.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3)
 
-    scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+    scores = matmul(qh, kt) * (1.0 / math.sqrt(dh))
     additive = np.zeros((1, 1, Lq, Lk))
     if mask is not None:
         additive = additive + mask.m
@@ -137,9 +137,7 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
 
     # pairwise gate from each (query, key) pair, shared across heads
     hidden = _gate_first_layer(q, k, params.gate_mlp.fc1).relu()
-    gate = params.gate_mlp.fc2(hidden).sigmoid()
-    gate = gate.reshape(B, Lq, Lk)
-    gate_h = gate.reshape(B, 1, Lq, Lk)
+    gate_h = params.gate_mlp.fc2(hidden).sigmoid().reshape(B, 1, Lq, Lk)
 
     blended = gate_h * dense + (1.0 - gate_h) * sparse
     ctx = matmul(blended, vh, exact_sum=exact_sum)          # [B, H, Lq, dh]
@@ -150,7 +148,8 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
         out = out.reshape(Lq, D)
     if return_scores:
         snap = AttentionScores(dense=dense.data.copy(), sparse=sparse.data.copy(),
-                               gate=gate.data.copy(), blended=blended.data.copy())
+                               gate=gate_h.data.reshape(B, Lq, Lk).copy(),
+                               blended=blended.data.copy())
         return out, snap
     return out
 

@@ -1,14 +1,15 @@
 """Configuration schema, defaults, validation, and JSON round-trip.
 
-Validation happens before any compute: every downstream structural
-constraint (head divisibility, band counts, patch divisibility, horizon
-bounds) is checked here and reported with the offending key.
+Validation happens before any compute: the type of every field and every
+downstream structural constraint (head divisibility, band counts, patch
+divisibility, horizon bounds) is checked here and reported with the
+offending key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .data import GenConfig
 from .freq import next_pow2
@@ -17,6 +18,34 @@ from .losses import LossWeights
 
 class ConfigError(ValueError):
     """A configuration value violates a downstream invariant."""
+
+
+def _like(value, example) -> bool:
+    """Whether `value` is typed like `example`; a bool is never an int or a float."""
+    if isinstance(example, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(example)
+                and all(map(_like, value, example)))
+    kinds = (int,) if isinstance(example, int) else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_types(section: str, obj) -> None:
+    """Raise ConfigError naming `section.key` for a value not typed like its default."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.default is None:                   # granularities: [window, stride] int pairs
+            ok = value is None or (isinstance(value, (list, tuple))
+                                   and all(_like(pair, (0, 0)) for pair in value))
+        else:
+            ok = _like(value, f.default)
+        if not ok:
+            raise ConfigError(f"{section}.{f.name}: {value!r} is not of type {f.type}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -72,6 +101,10 @@ class Config:
 
     def validate(self) -> None:
         m, t = self.model, self.training
+        _check_types("model", m)
+        _check_types("training", t)
+        if self.data.synthetic is not None:
+            _check_types("data.synthetic", self.data.synthetic)
         if m.t_history < 2:
             raise ConfigError("model.t_history: must be >= 2")
         if m.t_future < 1:
@@ -125,24 +158,19 @@ class Config:
                                       "model.t_future")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.data.synthetic is None:
-            d["data"]["synthetic"] = None
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "Config":
-        model = ModelConfig(**d.get("model", {}))
-        training = TrainingConfig(**d.get("training", {}))
-        data_d = dict(d.get("data", {}))
+        _object(d, "config")
+        model = ModelConfig(**_object(d.get("model", {}), "model"))
+        training = TrainingConfig(**_object(d.get("training", {}), "training"))
+        data_d = dict(_object(d.get("data", {}), "data"))
         syn = data_d.get("synthetic")
-        if syn is not None:
-            syn = dict(syn)
-            for key in ("speed_range", "turn_rate_range", "lane_offset_range",
-                        "maneuver_mix"):
-                if key in syn and syn[key] is not None:
-                    syn[key] = tuple(syn[key])
-            data_d["synthetic"] = GenConfig(**syn)
+        if syn is not None:                     # GenConfig's list-like fields are tuples
+            syn = _object(syn, "data.synthetic")
+            data_d["synthetic"] = GenConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                               for k, v in syn.items()})
         data = DataConfig(**data_d)
         return Config(model=model, training=training, data=data)
 

@@ -31,21 +31,6 @@ class ScenarioFormatError(ValueError):
 
 
 @dataclass
-class AgentState:
-    """One observed pose; x/y are meaningless when valid is False."""
-    x: float
-    y: float
-    valid: bool = True
-
-    def as_row(self) -> list:
-        return [self.x, self.y, 1.0 if self.valid else 0.0]
-
-    @staticmethod
-    def from_row(row) -> "AgentState":
-        return AgentState(x=float(row[0]), y=float(row[1]), valid=bool(row[2]))
-
-
-@dataclass
 class AgentTrack:
     history: np.ndarray        # [T_h, 3] rows of (x, y, valid)
     future: np.ndarray         # [T_f, 3]
@@ -164,8 +149,8 @@ def load_scenarios(path: str) -> list[Scenario]:
         if not all(type(t) is int for t in targets) or len(set(targets)) != len(targets):
             raise ScenarioFormatError(f"{where}: targets {targets} are not distinct integers")
         try:
-            dt = float(rec.get("dt", 0.5))
-        except (TypeError, ValueError):
+            dt = math.nan if isinstance(rec.get("dt"), bool) else float(rec.get("dt", 0.5))
+        except (TypeError, ValueError, OverflowError):
             dt = math.nan
         if not (math.isfinite(dt) and dt > 0.0):
             raise ScenarioFormatError(f"{where}: dt {rec.get('dt')!r} is not finite and positive")

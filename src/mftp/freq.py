@@ -93,11 +93,6 @@ class ExpertMask:
     lo: int
     hi: int
 
-    def as_array(self, n_bins: int) -> np.ndarray:
-        m = np.zeros(n_bins)
-        m[self.lo: self.hi] = 1.0
-        return m
-
 
 def build_masks(n_bins: int, n_experts: int) -> list[ExpertMask]:
     """Contiguous bands whose sizes differ by at most one bin.

@@ -131,12 +131,11 @@ def _log_softmax(x: Tensor, axis: int) -> Tensor:
     return shift - shift.exp().sum(axis=axis, keepdims=True).log()
 
 
-def patch_loss(pred_traj: Tensor, gt_traj, patch_len: int,
-               eps: float = CORR_EPS) -> tuple[Tensor, Tensor, Tensor]:
+def patch_loss(pred_traj: Tensor, gt_traj, patch_len: int) -> tuple[Tensor, Tensor, Tensor]:
     """(correlation, variance, mean) patch terms, averaged over x and y.
 
     Correlation: mean over patches of 1 - Pearson r, with each standard
-    deviation regularized to sqrt(var + eps); a constant patch therefore
+    deviation regularized to sqrt(var + CORR_EPS); a constant patch therefore
     contributes ~1, not a division by zero. Variance: KL between softmaxed
     within-patch deviations, ground truth side first. Mean: |mu - mu_hat|.
     Every statistic reduces over the within-patch axis (-2) for x and y at
@@ -151,8 +150,8 @@ def patch_loss(pred_traj: Tensor, gt_traj, patch_len: int,
     dg = gt_p - mu_g
 
     cov = (dg * dp).sum(axis=-2)                            # [..., M, 2]
-    sd_p = (dp.square().mean(axis=-2) + eps).sqrt()
-    sd_g = (dg.square().mean(axis=-2) + eps).sqrt()
+    sd_p = (dp.square().mean(axis=-2) + CORR_EPS).sqrt()
+    sd_g = (dg.square().mean(axis=-2) + CORR_EPS).sqrt()
     corr = (1.0 - cov / (sd_g * sd_p * float(patch_len))).mean()
 
     log_pg = _log_softmax(dg, axis=-2)
@@ -172,18 +171,12 @@ def target_loss(pred: PredictionSet, gt, patch_len: int) -> LossTerms:
                      corr=corr, var=var, mean=mean, best_mode=best)
 
 
-def total_loss(terms: list[LossTerms], weights: LossWeights) -> tuple[Tensor, LossReport]:
-    """Weighted sum of the components, each averaged over `terms`."""
+def total_loss(terms: LossTerms, weights: LossWeights) -> tuple[Tensor, LossReport]:
+    """Weighted sum of `target_loss`'s terms, which are already batch means."""
     weights.validate()
-    if not terms:
-        raise ValueError("total_loss: empty batch")
-    scale = 1.0 / len(terms)
-    reg, cls, corr, var, mean = (
-        sum((getattr(t, k) for t in terms[1:]), getattr(terms[0], k)) * scale
-        for k in ("reg", "cls", "corr", "var", "mean"))
-    patch = corr + var + mean
-    total = reg * weights.alpha + cls * weights.beta + patch * weights.gamma
-    report = LossReport(reg=reg.item(), cls=cls.item(), corr=corr.item(),
-                        var=var.item(), mean=mean.item(), patch=patch.item(),
+    patch = terms.patch
+    total = terms.reg * weights.alpha + terms.cls * weights.beta + patch * weights.gamma
+    report = LossReport(reg=terms.reg.item(), cls=terms.cls.item(), corr=terms.corr.item(),
+                        var=terms.var.item(), mean=terms.mean.item(), patch=patch.item(),
                         total=total.item())
     return total, report

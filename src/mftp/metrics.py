@@ -166,26 +166,22 @@ def score_target(pred: PredictionSet, gt: np.ndarray, k: int, threshold: float,
 
 def evaluate_model(model, scenarios: list[Scenario], k: int,
                    threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
-    """Predict every target with the model and average per-target metrics.
-
-    Ground truth and predictions are compared in the global frame.
-    """
-    rows = []
-    for s in scenarios:
-        for target, pred in model.predict_scenario(s):
-            if k > pred.num_modes:
-                raise ValueError(f"model emits {pred.num_modes} modes, k={k} requested")
-            gt = s.agents[target].future[:, :2]
-            rows.append(score_target(pred, gt, k, threshold, s.scenario_id, target))
-    return _aggregate(rows, k, threshold)
+    """`evaluate_predictions` on the model's own global-frame `predict_scenario` outputs."""
+    predictions = {(s.scenario_id, target): pred
+                   for s in scenarios for target, pred in model.predict_scenario(s)}
+    return evaluate_predictions(predictions, scenarios, k, threshold)
 
 
 def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
                          scenarios: list[Scenario], k: int,
                          threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
-    """Score externally supplied predictions against scenario ground truth."""
+    """Score predictions keyed by (scenario id, target); a repeated id raises ValueError."""
     rows = []
+    seen = set()
     for s in scenarios:
+        if s.scenario_id in seen:
+            raise ValueError(f"scenario id {s.scenario_id!r} repeats")
+        seen.add(s.scenario_id)
         for target in s.targets:
             key = (s.scenario_id, target)
             if key not in predictions:

@@ -104,8 +104,7 @@ class TrajectoryPredictor:
         trajs, probs = self.forward_frames(norm.frames)
         out = []
         for i, frame in enumerate(norm.frames):
-            local = PredictionSet(trajs=Tensor(trajs.data[i].copy()),
-                                  probs=Tensor(probs.data[i].copy()))
+            local = PredictionSet(trajs=Tensor(trajs.data[i]), probs=Tensor(probs.data[i]))
             out.append((frame.target_index, denormalize(local, frame)))
         return out
 

@@ -72,7 +72,7 @@ def encode_granularity(x: Tensor, params: GranularityEncoderParams) -> Tensor:
     B = x.shape[0]
     d_patch = params.token.shape[-1]
     emb = params.proj(patchify(x, params.window, params.stride))    # [B, P, D_p]
-    tok = broadcast_to(params.token.reshape(1, 1, d_patch), (B, 1, d_patch))
+    tok = broadcast_to(params.token, (B, 1, d_patch))
     seq = concat([tok, emb], axis=1)                                # [B, P+1, D_p]
     seq = seq + Tensor(sinusoidal_encoding(seq.shape[1], d_patch))
     out = tsam(seq, params.block)

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 Array = np.ndarray
+LAYER_NORM_EPS = 1e-5     # added to the variance in `layer_norm`
 
 
 def _contiguous(a: Array) -> Array:
@@ -433,15 +434,14 @@ def cumsum(x: Tensor, axis: int) -> Tensor:
                                                axis=axis)))
 
 
-def layer_norm(x: Tensor, gain: Tensor | float = 1.0, bias: Tensor | float = 0.0,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor | float = 1.0, bias: Tensor | float = 0.0) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then `* gain + bias`.
 
     One tape node; the VJP of `x` is the closed form of the composed ops' one.
     """
     gain, bias = (t if isinstance(t, Tensor) else Tensor(t) for t in (gain, bias))
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat = centered / std
 
     def vjp_x(g: Array) -> Array:

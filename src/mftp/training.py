@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config
+from .config import Config, ConfigError
 from .data import Scenario, TargetFrame, generate_synthetic, load_scenarios, normalize
 from .decoder import PredictionSet
 from .losses import LossReport, target_loss, total_loss
@@ -106,7 +106,7 @@ def train_step(model: TrajectoryPredictor, optimizer: Adam,
     trajs, probs = model.forward_frames([it.frame for it in batch])
     terms = target_loss(PredictionSet(trajs=trajs, probs=probs),
                         np.stack([it.gt_local for it in batch]), config.model.patch_len)
-    loss, report = total_loss([terms], config.training.loss_weights())
+    loss, report = total_loss(terms, config.training.loss_weights())
     if not np.isfinite(report.total):
         raise ValueError(f"non-finite loss {report} on scenarios "
                          f"{sorted({it.scenario_id for it in batch})}")
@@ -216,9 +216,11 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
                              f"with keys {sorted(entry_keys)}")
     try:
         config = Config.from_dict(manifest["config"])
-    except (AttributeError, TypeError) as exc:
+        config.validate()
+    except TypeError as exc:
         raise ValueError(f"{manifest_path}: unknown or missing config key ({exc})") from None
-    config.validate()
+    except ConfigError as exc:
+        raise ValueError(f"{manifest_path}: config {exc}") from None
     model = TrajectoryPredictor(config.model, seed=config.training.seed)
     params = model.parameters()
 

@@ -167,7 +167,7 @@ def test_criterion_5_end_to_end_gradient_check():
         trajs, probs = model.forward(hist, valid, targets)
         terms = target_loss(PredictionSet(trajs=trajs[0], probs=probs[0]), gt,
                             cfg.patch_len)
-        total, _ = total_loss([terms], weights)
+        total, _ = total_loss(terms, weights)
         return total
 
     worst_name, worst = "", 0.0

@@ -46,6 +46,26 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     assert "model.channels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ([], "config: must be a JSON object"),
+    ({"model": []}, "model: must be a JSON object"),
+    ({"model": {"channels": "32"}}, "model.channels"),
+    ({"model": {"channels": 32.0}}, "model.channels"),
+    ({"model": {"granularities": [[8]]}}, "model.granularities"),
+    ({"training": {"steps": 2.5}}, "training.steps"),
+    ({"training": {"steps": True}}, "training.steps"),
+    ({"training": {"learning_rate": "0.1"}}, "training.learning_rate"),
+    ({"data": {"synthetic": {"num_agents": 2.0}}}, "data.synthetic.num_agents"),
+    ({"data": {"synthetic": {"speed_range": 3}}}, "data.synthetic.speed_range"),
+])
+def test_train_rejects_mistyped_config_naming_the_key(tmp_path, capsys, doc, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_train_deterministic_across_runs(tiny_setup):
     _, cfg_path, _, tmp_path = tiny_setup
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
@@ -333,6 +353,21 @@ def test_predict_and_eval_reject_bad_scenario_structure(tiny_setup, capsys, key,
     assert f"{bad_path}: scenario 1" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", ckpt, "--scenarios", bad_path, "--k", "1"]) == 2
     assert f"{bad_path}: scenario 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channels", ["32", 32.0])
+def test_predict_rejects_mistyped_manifest_config(tiny_setup, capsys, channels):
+    from mftp.model import TrajectoryPredictor
+    from mftp.training import save_checkpoint
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["model"]["channels"] = channels
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert f"{ckpt / 'manifest.json'}: config model.channels" in capsys.readouterr().err
 
 
 def test_predict_rejects_truncated_checkpoint(tiny_setup, capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mftp.data import (
-    AgentState,
     AgentTrack,
     GenConfig,
     Scenario,
@@ -16,12 +15,6 @@ from mftp.data import (
     normalize,
     save_scenarios,
 )
-
-
-def test_agent_state_row_roundtrip():
-    s = AgentState(x=1.5, y=-2.0, valid=False)
-    assert AgentState.from_row(s.as_row()) == s
-    assert AgentState.from_row([0.0, 0.0, 1.0]).valid is True
 
 
 def _write(tmp_path, doc):
@@ -291,6 +284,8 @@ BAD_STRUCTURE = {
     "targets-not-list": (_set("targets", 0),
                          r"\(id=s0\): 'agents' and 'targets' must be lists"),
     "dt-not-numeric": (_set("dt", "fast"), r"\(id=s0\): dt 'fast' is not finite and positive"),
+    "dt-bool": (_set("dt", True), r"\(id=s0\): dt True is not finite and positive"),
+    "dt-int-overflow": (_set("dt", 10 ** 400), r"\(id=s0\): dt 10+ is not finite and positive"),
     "target-fraction": (_set("targets", [0.7]), r"\(id=s0\): targets \[0.7\] are not distinct"),
     "target-string": (_set("targets", ["a"]), r"\(id=s0\): targets \['a'\] are not distinct"),
     "target-repeated": (_set("targets", [0, 0]), r"\(id=s0\): targets \[0, 0\] are not distinct"),

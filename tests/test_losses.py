@@ -149,7 +149,7 @@ def test_patch_loss_nonnegative_components_random():
 def test_total_loss_weight_zeroing():
     y = _wavy(t_f=8, seed=10)
     terms = target_loss(_pred([y + 0.5, y + 3.0]), y, patch_len=4)
-    t_full, rep = total_loss([terms], LossWeights(alpha=1.0, beta=1.0, gamma=0.0))
+    t_full, rep = total_loss(terms, LossWeights(alpha=1.0, beta=1.0, gamma=0.0))
     assert abs(t_full.item() - (rep.reg + rep.cls)) <= 1e-12
     assert rep.patch == rep.corr + rep.var + rep.mean
 
@@ -158,7 +158,7 @@ def test_total_loss_zero_when_perfect_and_unweighted():
     y = _wavy(t_f=8, seed=11)
     pred = _pred([y], probs=[1.0])
     terms = target_loss(pred, y, patch_len=4)
-    total, _ = total_loss([terms], LossWeights(alpha=0.0, beta=0.0, gamma=1.0))
+    total, _ = total_loss(terms, LossWeights(alpha=0.0, beta=0.0, gamma=1.0))
     assert abs(total.item()) <= 1e-6
 
 
@@ -166,7 +166,7 @@ def test_total_loss_hand_arithmetic():
     ones = LossWeights(alpha=1.0, beta=1.0, gamma=1.0)
     terms = LossTerms(reg=Tensor(0.2), cls=Tensor(0.3), corr=Tensor(0.5),
                       var=Tensor(0.0), mean=Tensor(0.0), best_mode=0)
-    total, rep = total_loss([terms], ones)
+    total, rep = total_loss(terms, ones)
     assert abs(total.item() - 1.0) <= 1e-12
     assert rep.total == total.item()
 
@@ -175,9 +175,9 @@ def test_total_loss_validates_weights():
     y = _wavy(t_f=8, seed=12)
     terms = target_loss(_pred([y]), y, patch_len=4)
     with pytest.raises(ValueError, match="not all"):
-        total_loss([terms], LossWeights(alpha=0.0, beta=0.0, gamma=0.0))
+        total_loss(terms, LossWeights(alpha=0.0, beta=0.0, gamma=0.0))
     with pytest.raises(ValueError, match="nonnegative"):
-        total_loss([terms], LossWeights(alpha=-1.0))
+        total_loss(terms, LossWeights(alpha=-1.0))
 
 
 def test_gradient_of_total_loss_matches_finite_differences():
@@ -189,7 +189,7 @@ def test_gradient_of_total_loss_matches_finite_differences():
     def f(trajs: Tensor) -> Tensor:
         pred = PredictionSet(trajs=trajs, probs=Tensor(probs0))
         t = target_loss(pred, gt, patch_len=4)
-        total, _ = total_loss([t], w)
+        total, _ = total_loss(t, w)
         return total
 
     x0 = np.stack([gt + 0.3, base_other])
@@ -253,7 +253,7 @@ def test_batched_gradient_reaches_only_winning_modes():
     pred = PredictionSet(trajs=Tensor(trajs, requires_grad=True),
                          probs=Tensor(np.full((4, 3), 1.0 / 3.0), requires_grad=True))
     terms = target_loss(pred, gt, patch_len=4)
-    total, _ = total_loss([terms], LossWeights())
+    total, _ = total_loss(terms, LossWeights())
     total.backward()
     assert terms.best_mode.tolist() == [1, 1, 1, 1]
     for i in range(4):
@@ -269,7 +269,7 @@ def test_non_finite_losing_mode_stays_out_of_the_loss():
     terms = target_loss(PredictionSet(trajs=Tensor(trajs), probs=Tensor(np.full((2, 2), 0.5))),
                         np.stack([gt, gt]), patch_len=4)
     assert terms.best_mode.tolist() == [1, 0]
-    total, report = total_loss([terms], LossWeights())
+    total, report = total_loss(terms, LossWeights())
     assert math.isfinite(report.total) and total.item() == report.total
 
 
@@ -282,7 +282,7 @@ def test_gradient_of_batched_total_loss_matches_finite_differences():
 
     def loss(trajs: Tensor, probs: Tensor) -> Tensor:
         terms = target_loss(PredictionSet(trajs=trajs, probs=probs), gt, patch_len=4)
-        return total_loss([terms], w)[0]
+        return total_loss(terms, w)[0]
 
     assert grad_check(lambda t: loss(t, Tensor(probs0)), Tensor(x0)) <= 1e-4
     assert grad_check(lambda p: loss(Tensor(x0), p), Tensor(probs0)) <= 1e-4

@@ -1,15 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mftp.config import ModelConfig
+from mftp.data import GenConfig, generate_synthetic
 from mftp.decoder import PredictionSet
 from mftp.metrics import (
     b_min_fde,
+    evaluate_model,
+    evaluate_predictions,
     min_ade,
     min_fde,
     miss,
     score_target,
     top_k_modes,
 )
+from mftp.model import TrajectoryPredictor
 from mftp.tensor import Tensor
 
 from oracles import brute_b_min_fde, brute_min_ade, brute_min_fde, brute_miss
@@ -166,3 +173,32 @@ def test_score_target_rejects_step_count_mismatch():
                        match=r"scenario 'sc' target 3: trajectory has 5 steps, "
                              r"ground truth has 4"):
         score_target(_pred(np.zeros((1, 5, 2)), [1.0]), gt, 1, 2.0, "sc", 3)
+
+
+def _tiny_model_and_scenes():
+    cfg = ModelConfig(channels=8, d_patch=8, n_heads=2, n_modes=3, refine_rounds=1,
+                      n_experts=2, t_history=8, t_future=4, patch_len=4,
+                      granularities=[[2, 1], [8, 8]])
+    scenes = generate_synthetic(GenConfig(num_scenarios=3, num_agents=4, num_targets=2,
+                                          t_history=8, t_future=4, noise_std=0.3), seed=2)
+    return TrajectoryPredictor(cfg, seed=1), scenes
+
+
+def test_evaluate_model_equals_evaluate_predictions_on_its_own_outputs():
+    model, scenes = _tiny_model_and_scenes()
+    preds = {(s.scenario_id, t): p for s in scenes for t, p in model.predict_scenario(s)}
+    for k in (1, 3):
+        ours = evaluate_model(model, scenes, k=k, threshold=1.5)
+        ref = evaluate_predictions(preds, scenes, k=k, threshold=1.5)
+        assert ours.n_targets == 6
+        assert dataclasses.asdict(ours) == dataclasses.asdict(ref)
+
+
+def test_repeated_scenario_id_raises_in_both_evaluators():
+    model, scenes = _tiny_model_and_scenes()
+    twins = [scenes[0], dataclasses.replace(scenes[1], scenario_id=scenes[0].scenario_id)]
+    preds = {(s.scenario_id, t): p for s in twins[:1] for t, p in model.predict_scenario(s)}
+    with pytest.raises(ValueError, match=f"scenario id {scenes[0].scenario_id!r} repeats"):
+        evaluate_predictions(preds, twins, k=1)
+    with pytest.raises(ValueError, match=f"scenario id {scenes[0].scenario_id!r} repeats"):
+        evaluate_model(model, twins, k=1)

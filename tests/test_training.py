@@ -299,6 +299,25 @@ def test_one_default_train_step_gives_every_parameter_a_finite_gradient():
     assert [k for k, p in params.items() if not np.all(np.isfinite(p.grad))] == []
 
 
+def test_one_default_train_step_stays_within_its_tape_node_budget(monkeypatch):
+    cfg = Config()
+    items = build_training_items(load_training_scenarios(cfg))
+    model = TrajectoryPredictor(cfg.model, seed=cfg.training.seed)
+    optimizer = Adam(model.parameters(), lr=cfg.training.learning_rate)
+    batch = [items[i] for i in _batch_indices(0, cfg.training.batch_size, len(items))]
+    make = Tensor.__dict__["_from_op"].__func__
+    nodes = []
+
+    def recorded(data, parents, vjps):
+        out = make(data, parents, vjps)
+        if out.requires_grad:
+            nodes.append(out.shape)
+        return out
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(recorded))
+    train_step(model, optimizer, batch, cfg)
+    assert 0 < len(nodes) <= 346
+
+
 @pytest.mark.parametrize("dtype", ["<f4", ">f8", None])
 def test_checkpoint_rejects_dtype_other_than_little_endian_float64(tmp_path, dtype):
     def edit(m):
