@@ -12,10 +12,10 @@ import argparse
 import sys
 
 from .config import Config, ConfigError, load_config
-from .data import Scenario, ScenarioFormatError, load_scenarios
+from .data import ScenarioFormatError, load_scenarios
 from .metrics import DEFAULT_MISS_THRESHOLD, evaluate_model, evaluate_predictions
 from .prediction_io import load_predictions, write_predictions
-from .training import load_checkpoint, train
+from .training import check_horizons, load_checkpoint, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,27 +54,16 @@ def cmd_train(args) -> int:
     config = load_config(args.config) if args.config else Config()
     if args.seed is not None:
         config.training.seed = args.seed
-    config.validate()
     result = train(config, out_dir=args.out, log=print)
     if result.last_report is not None:
         print(f"final_total={result.last_report.total!r}")
     return 0
 
 
-def _check_horizons(scenarios: list[Scenario], config: Config) -> None:
-    """Reject, by scenario, horizons that differ from the model's."""
-    for s in scenarios:
-        if s.t_history != config.model.t_history or s.t_future != config.model.t_future:
-            raise ValueError(
-                f"scenario {s.scenario_id}: horizons ({s.t_history}, {s.t_future}) "
-                f"do not match the model ({config.model.t_history}, "
-                f"{config.model.t_future})")
-
-
 def cmd_predict(args) -> int:
     model, config, _ = load_checkpoint(args.checkpoint)
     scenarios = load_scenarios(args.scenarios)
-    _check_horizons(scenarios, config)
+    check_horizons(scenarios, config)
     records = []
     for s in scenarios:
         for target, pred in model.predict_scenario(s):
@@ -92,7 +81,7 @@ def cmd_eval(args) -> int:
                                       threshold=args.miss_threshold)
     else:
         model, config, _ = load_checkpoint(args.checkpoint)
-        _check_horizons(scenarios, config)
+        check_horizons(scenarios, config)
         if args.k > config.model.n_modes:
             raise ValueError(f"k={args.k} exceeds the model's "
                              f"{config.model.n_modes} modes")

@@ -1,45 +1,20 @@
 """Configuration schema, defaults, validation, and JSON round-trip.
 
-Validation happens before any compute: the type of every field and every
-downstream structural constraint (head divisibility, band counts, patch
-divisibility, horizon bounds) is checked here and reported with the
-offending key.
+Validation happens before any compute. Each field declares its rule next to
+its default (`data.rule`): one walk (`data.check_fields`) checks the type of
+every field in every section, that each float is finite, and each field's
+bound. The cross-field constraints (head divisibility, band counts, window
+and patch bounds, horizons) are checked here. Every error names its key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
-from .data import GenConfig
+from .data import ConfigError, GenConfig, check_fields, rule
 from .freq import next_pow2
 from .losses import LossWeights
-
-
-class ConfigError(ValueError):
-    """A configuration value violates a downstream invariant."""
-
-
-def _like(value, example) -> bool:
-    """Whether `value` is typed like `example`; a bool is never an int or a float."""
-    if isinstance(example, tuple):
-        return (isinstance(value, (list, tuple)) and len(value) == len(example)
-                and all(map(_like, value, example)))
-    kinds = (int,) if isinstance(example, int) else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _check_types(section: str, obj) -> None:
-    """Raise ConfigError naming `section.key` for a value not typed like its default."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.default is None:                   # granularities: [window, stride] int pairs
-            ok = value is None or (isinstance(value, (list, tuple))
-                                   and all(_like(pair, (0, 0)) for pair in value))
-        else:
-            ok = _like(value, f.default)
-        if not ok:
-            raise ConfigError(f"{section}.{f.name}: {value!r} is not of type {f.type}")
 
 
 def _object(value, where: str) -> dict:
@@ -50,16 +25,16 @@ def _object(value, where: str) -> dict:
 
 @dataclass
 class ModelConfig:
-    channels: int = 32            # node width C
-    d_patch: int = 32             # patch hidden size
-    n_heads: int = 4
-    n_modes: int = 5              # candidate futures per target
-    refine_rounds: int = 2
-    n_experts: int = 4            # frequency bands
-    t_history: int = 8
-    t_future: int = 12
-    patch_len: int = 4            # trajectory patch length for the patch loss
-    granularities: list[list[int]] | None = None   # [window, stride] pairs
+    channels: int = rule(32, ge=1)            # node width C
+    d_patch: int = rule(32, ge=1)             # patch hidden size
+    n_heads: int = rule(4, ge=1)
+    n_modes: int = rule(5, ge=1)              # candidate futures per target
+    refine_rounds: int = rule(2, ge=1)
+    n_experts: int = rule(4, ge=1)            # frequency bands
+    t_history: int = rule(8, ge=2)
+    t_future: int = rule(12, ge=1)
+    patch_len: int = rule(4, ge=1)            # trajectory patch length for the patch loss
+    granularities: list[list[int]] | None = rule(None, ge=1, like=[(1, 1)])  # [window, stride]
 
     def resolved_granularities(self) -> list[tuple[int, int]]:
         """Explicit pairs, or windows {2, 4, T} with stride window/2 (T uses T)."""
@@ -75,13 +50,13 @@ class ModelConfig:
 
 @dataclass
 class TrainingConfig:
-    steps: int = 500
-    learning_rate: float = 1e-3
-    batch_size: int = 8
-    seed: int = 0
-    alpha: float = 1.0
-    beta: float = 0.5
-    gamma: float = 0.5
+    steps: int = rule(500, ge=0)
+    learning_rate: float = rule(1e-3, gt=0.0)
+    batch_size: int = rule(8, ge=1)
+    seed: int = rule(0, ge=0)                 # np.random.default_rng refuses negatives
+    alpha: float = rule(1.0, ge=0.0)
+    beta: float = rule(0.5, ge=0.0)
+    gamma: float = rule(0.5, ge=0.0)
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
@@ -89,7 +64,7 @@ class TrainingConfig:
 
 @dataclass
 class DataConfig:
-    scenario_path: str | None = None
+    scenario_path: str | None = rule(None, like="path")
     synthetic: GenConfig | None = field(default_factory=GenConfig)
 
 
@@ -100,62 +75,40 @@ class Config:
     data: DataConfig = field(default_factory=DataConfig)
 
     def validate(self) -> None:
-        m, t = self.model, self.training
-        _check_types("model", m)
-        _check_types("training", t)
-        if self.data.synthetic is not None:
-            _check_types("data.synthetic", self.data.synthetic)
-        if m.t_history < 2:
-            raise ConfigError("model.t_history: must be >= 2")
-        if m.t_future < 1:
-            raise ConfigError("model.t_future: must be >= 1")
-        for key in ("channels", "d_patch", "n_heads", "n_modes", "refine_rounds",
-                    "n_experts", "patch_len"):
-            if getattr(m, key) < 1:
-                raise ConfigError(f"model.{key}: must be positive")
+        check_fields(self)                      # every field of every section
+        m, syn = self.model, self.data.synthetic
         if m.channels % m.n_heads:
             raise ConfigError(f"model.channels: {m.channels} not divisible by "
                               f"n_heads={m.n_heads}")
         if m.d_patch % m.n_heads:
             raise ConfigError(f"model.d_patch: {m.d_patch} not divisible by "
                               f"n_heads={m.n_heads}")
-        n_bins = next_pow2(max(m.t_history, 2)) // 2 + 1
+        n_bins = next_pow2(m.t_history) // 2 + 1
         if m.n_experts > n_bins:
             raise ConfigError(f"model.n_experts: {m.n_experts} exceeds the "
                               f"{n_bins} frequency bins of t_history={m.t_history}")
-        for w, s in m.resolved_granularities():
-            if not 1 <= w <= m.t_history:
-                raise ConfigError(f"model.granularities: window {w} outside "
-                                  f"[1, {m.t_history}]")
-            if s < 1:
-                raise ConfigError(f"model.granularities: stride {s} must be >= 1")
+        for w, _ in m.resolved_granularities():
+            if w > m.t_history:
+                raise ConfigError(f"model.granularities: window {w} exceeds "
+                                  f"t_history={m.t_history}")
         if m.t_future % m.patch_len:
             raise ConfigError(f"model.patch_len: {m.patch_len} does not divide "
                               f"t_future={m.t_future}")
-        if t.steps < 0:
-            raise ConfigError("training.steps: must be >= 0")
-        if t.learning_rate <= 0:
-            raise ConfigError("training.learning_rate: must be positive")
-        if t.batch_size < 1:
-            raise ConfigError("training.batch_size: must be >= 1")
         try:
-            t.loss_weights().validate()
+            self.training.loss_weights().validate()
         except ValueError as exc:
             raise ConfigError(f"training loss weights: {exc}") from None
-        if self.data.scenario_path is None and self.data.synthetic is None:
+        if self.data.scenario_path is None and syn is None:
             raise ConfigError("data: either scenario_path or synthetic must be set")
-        if self.data.synthetic is not None:
+        if syn is not None:
             try:
-                self.data.synthetic.validate()
-            except ValueError as exc:
-                raise ConfigError(f"data.synthetic: {exc}") from None
+                syn.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"data.synthetic.{exc}") from None
             if self.data.scenario_path is None:
-                if self.data.synthetic.t_history != m.t_history:
-                    raise ConfigError("data.synthetic.t_history: must equal "
-                                      "model.t_history")
-                if self.data.synthetic.t_future != m.t_future:
-                    raise ConfigError("data.synthetic.t_future: must equal "
-                                      "model.t_future")
+                for key in ("t_history", "t_future"):
+                    if getattr(syn, key) != getattr(m, key):
+                        raise ConfigError(f"data.synthetic.{key}: must equal model.{key}")
 
     def to_dict(self) -> dict:
         return asdict(self)

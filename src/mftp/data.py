@@ -21,13 +21,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 
 class ScenarioFormatError(ValueError):
     """A scenario file or record violates the format contract."""
+
+
+class ConfigError(ValueError):
+    """A configuration value violates a downstream invariant."""
 
 
 @dataclass
@@ -230,6 +234,54 @@ def normalize(s: Scenario) -> NormalizedScenario:
     return NormalizedScenario(scenario_id=s.scenario_id, dt=s.dt, frames=frames)
 
 
+# -- config field rules -------------------------------------------------------------
+
+
+def rule(default, *, ge=None, gt=None, like=None):
+    """A config field whose numbers are all >= `ge` or > `gt`; `like` types a None default."""
+    return field(default=default, metadata={"ge": ge, "gt": gt, "like": like or default})
+
+
+def _like(value, example) -> bool:
+    """Whether `value` is typed like `example`: a tuple fixes the length, a one-item list
+    allows one or more items, and a bool is never an int or a float."""
+    if isinstance(example, list):
+        return (isinstance(value, (tuple, list)) and len(value) > 0
+                and all(_like(v, example[0]) for v in value))
+    if isinstance(example, tuple):
+        return (isinstance(value, (tuple, list)) and len(value) == len(example)
+                and all(map(_like, value, example)))
+    if isinstance(example, (int, float)):
+        kinds = (int,) if isinstance(example, int) else (int, float)
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    return isinstance(value, type(example))
+
+
+def _flat(value) -> list:
+    return [x for v in value for x in _flat(v)] if isinstance(value, (tuple, list)) else [value]
+
+
+def check_fields(obj, section: str = "") -> None:
+    """Check each field of a config dataclass, and of the dataclasses it holds, against
+    its rule: typed like its default (or None where annotated so), finite, in bound."""
+    for f in fields(obj):
+        value, key = getattr(obj, f.name), section + f.name
+        if is_dataclass(value):
+            check_fields(value, key + ".")
+            continue
+        if value is None and "None" in str(f.type):
+            continue
+        if not _like(value, f.metadata.get("like", f.default)):
+            raise ConfigError(f"{key}: {value!r} is not of type {f.type}")
+        ge, gt = f.metadata.get("ge"), f.metadata.get("gt")
+        for x in _flat(value):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(f"{key}: {value!r} is not finite")
+            if (ge is not None and x < ge) or (gt is not None and x <= gt):
+                raise ConfigError(f"{key}: {value!r} must be "
+                                  + (f">= {ge}" if gt is None else f"> {gt}"))
+
+
 # -- synthetic scenario generation -------------------------------------------------
 
 MANEUVERS = ("constant_velocity", "constant_turn", "lane_change")
@@ -237,32 +289,26 @@ MANEUVERS = ("constant_velocity", "constant_turn", "lane_change")
 
 @dataclass
 class GenConfig:
-    num_scenarios: int = 8
-    num_agents: int = 3
-    num_targets: int = 1
-    t_history: int = 8
-    t_future: int = 12
-    dt: float = 0.5
+    num_scenarios: int = rule(8, ge=1)
+    num_agents: int = rule(3, ge=1)
+    num_targets: int = rule(1, ge=1)
+    t_history: int = rule(8, ge=2)
+    t_future: int = rule(12, ge=1)
+    dt: float = rule(0.5, gt=0.0)
     speed_range: tuple[float, float] = (2.0, 8.0)
-    turn_rate_range: tuple[float, float] = (0.1, 0.4)   # rad/s, sign randomized
+    turn_rate_range: tuple[float, float] = rule((0.1, 0.4), gt=0.0)  # rad/s, sign randomized
     lane_offset_range: tuple[float, float] = (2.0, 4.0)  # meters of lateral shift
-    maneuver_mix: tuple[float, float, float] = (0.4, 0.3, 0.3)
-    noise_std: float = 0.0
+    maneuver_mix: tuple[float, float, float] = rule((0.4, 0.3, 0.3), ge=0.0)
+    noise_std: float = rule(0.0, ge=0.0)
     spawn_radius: float = 20.0
 
     def validate(self) -> None:
-        for name in ("num_scenarios", "num_agents", "num_targets",
-                     "t_history", "t_future"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"GenConfig.{name} must be positive")
-        if self.t_history < 2:
-            raise ValueError("GenConfig.t_history must be >= 2")
+        check_fields(self)
         if self.num_targets > self.num_agents:
-            raise ValueError("GenConfig.num_targets exceeds num_agents")
-        if self.dt <= 0:
-            raise ValueError("GenConfig.dt must be positive")
-        if any(w < 0 for w in self.maneuver_mix) or sum(self.maneuver_mix) <= 0:
-            raise ValueError("GenConfig.maneuver_mix must be nonnegative, not all zero")
+            raise ConfigError(f"num_targets: {self.num_targets} exceeds "
+                              f"num_agents={self.num_agents}")
+        if sum(self.maneuver_mix) <= 0:
+            raise ConfigError("maneuver_mix: must not be all zero")
 
 
 def _maneuver_positions(kind: str, n_steps: int, dt: float, speed: float,

@@ -73,9 +73,20 @@ class TrainResult:
 
 
 def load_training_scenarios(config: Config) -> list[Scenario]:
-    if config.data.scenario_path is not None:
-        return load_scenarios(config.data.scenario_path)
-    return generate_synthetic(config.data.synthetic, seed=config.training.seed)
+    if config.data.scenario_path is None:
+        return generate_synthetic(config.data.synthetic, seed=config.training.seed)
+    scenarios = load_scenarios(config.data.scenario_path)
+    check_horizons(scenarios, config)
+    return scenarios
+
+
+def check_horizons(scenarios: list[Scenario], config: Config) -> None:
+    """Reject, by scenario, horizons that differ from the model's."""
+    model = (config.model.t_history, config.model.t_future)
+    for s in scenarios:
+        if (s.t_history, s.t_future) != model:
+            raise ValueError(f"scenario {s.scenario_id}: horizons ({s.t_history}, "
+                             f"{s.t_future}) do not match the model {model}")
 
 
 def build_training_items(scenarios: list[Scenario]) -> list[TrainingItem]:

@@ -57,12 +57,41 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     ({"training": {"learning_rate": "0.1"}}, "training.learning_rate"),
     ({"data": {"synthetic": {"num_agents": 2.0}}}, "data.synthetic.num_agents"),
     ({"data": {"synthetic": {"speed_range": 3}}}, "data.synthetic.speed_range"),
+    ({"training": {"learning_rate": float("nan"), "steps": 3}}, "training.learning_rate"),
+    ({"data": {"scenario_path": 0, "synthetic": None}}, "data.scenario_path"),
+    ({"data": {"synthetic": {"dt": float("nan")}}}, "data.synthetic.dt"),
+    ({"data": {"synthetic": {"turn_rate_range": [0.0, 0.0], "maneuver_mix": [0, 1, 0]}}},
+     "data.synthetic.turn_rate_range"),
+    ({"data": {"synthetic": {"noise_std": -1.0}}}, "data.synthetic.noise_std"),
+    ({"training": {"seed": -3}}, "training.seed"),
+    ({"model": {"granularities": []}}, "model.granularities"),
 ])
 def test_train_rejects_mistyped_config_naming_the_key(tmp_path, capsys, doc, key):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_rejects_negative_seed_flag(tmp_path, capsys):
+    assert main(["train", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+    assert "training.seed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_rejects_scenario_file_with_other_horizons(tiny_setup, capsys):
+    cfg, _, _, tmp_path = tiny_setup
+    other = generate_synthetic(GenConfig(num_scenarios=1, num_agents=2,
+                                         t_history=6, t_future=4), seed=0)
+    other_path = str(tmp_path / "other.json")
+    save_scenarios(other_path, other)
+    cfg.data = DataConfig(scenario_path=other_path, synthetic=None)
+    cfg_path = str(tmp_path / "file_config.json")
+    save_config(cfg_path, cfg)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    assert (f"scenario {other[0].scenario_id}: horizons (6, 4) do not match the model (8, 4)"
+            in capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
 
 

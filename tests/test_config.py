@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
-from mftp.config import Config, ConfigError, ModelConfig, load_config, save_config
+from mftp.config import (Config, ConfigError, ModelConfig, TrainingConfig, load_config,
+                         save_config)
 from mftp.data import GenConfig
 
 
@@ -40,6 +43,28 @@ def test_validation_names_offending_key(mutate, key):
     cfg = Config()
     mutate(cfg)
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        cfg.validate()
+
+
+def _non_finite_cases():
+    """(section, key, value): nan, then inf, in each float field and each range entry."""
+    for bad in (float("nan"), float("inf")):
+        for section, cls in (("model", ModelConfig), ("training", TrainingConfig),
+                             ("data.synthetic", GenConfig)):
+            for f in fields(cls):
+                if isinstance(f.default, float):
+                    yield section, f.name, bad
+                elif isinstance(f.default, tuple):
+                    for i in range(len(f.default)):
+                        yield section, f.name, f.default[:i] + (bad,) + f.default[i + 1:]
+
+
+@pytest.mark.parametrize("section, key, value", list(_non_finite_cases()))
+def test_every_float_field_rejects_non_finite_values(section, key, value):
+    cfg = Config()
+    setattr(cfg.data.synthetic if section == "data.synthetic" else getattr(cfg, section),
+            key, value)
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: .* is not finite$"):
         cfg.validate()
 
 

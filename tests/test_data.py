@@ -251,6 +251,12 @@ def test_synthetic_rejects_bad_config():
         generate_synthetic(GenConfig(num_scenarios=0), seed=0)
     with pytest.raises(ValueError, match="t_future"):
         generate_synthetic(GenConfig(t_future=0), seed=0)
+    with pytest.raises(ValueError, match="^dt: nan is not finite"):
+        generate_synthetic(GenConfig(dt=float("nan")), seed=0)
+    with pytest.raises(ValueError, match="^noise_std: -1.0 must be >= 0"):
+        generate_synthetic(GenConfig(noise_std=-1.0), seed=0)
+    with pytest.raises(ValueError, match=r"^turn_rate_range: \(0.0, 0.0\) must be > 0"):
+        generate_synthetic(GenConfig(turn_rate_range=(0.0, 0.0)), seed=0)
 
 
 def test_lane_change_moves_laterally():

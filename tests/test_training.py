@@ -258,6 +258,17 @@ def test_checkpoint_rejects_unknown_config_key(tmp_path):
     assert manifest_path in str(err.value)
 
 
+def test_checkpoint_rejects_stored_config_that_breaks_a_rule(tmp_path):
+    def edit(m):
+        m["config"]["data"]["synthetic"]["noise_std"] = -1.0
+        return m
+    out, manifest_path = _rewrite_manifest(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"config data\.synthetic\.noise_std: -1\.0 must be "
+                                         r">= 0\.0") as err:
+        load_checkpoint(out)
+    assert manifest_path in str(err.value)
+
+
 @pytest.mark.parametrize("step", [2.7, "abc", True, None])
 def test_checkpoint_rejects_step_that_is_not_an_integer(tmp_path, step):
     def edit(m):
