@@ -10,8 +10,9 @@ produced by a two-layer MLP on each (query, key) pair, blends the two:
 The blended scores weight the values, followed by an output projection,
 residual connection, and layer norm. The temporal wrapper (tsam) runs this
 causally over a patch sequence with a prepended summary token that may read
-every position; the spatial wrapper (ssam) runs it across agents with
-invalid agents masked out of the keys.
+every position; in its summary-only mode, which the model uses, only the
+token queries and only its row is computed. The spatial wrapper (ssam) runs
+it across agents with invalid agents masked out of the keys.
 
 The gate's first layer is linear, so it is applied to each query and each
 key once and the two halves are broadcast-added per pair; the [Lq, Lk, 2D]
@@ -185,12 +186,24 @@ def _block(x_q: Tensor, x_kv: Tensor, params: AttentionBlockParams,
     return params.ffn_ln(h + params.ffn(h))
 
 
-def tsam(patches: Tensor, params: AttentionBlockParams) -> Tensor:
+def tsam(patches: Tensor, params: AttentionBlockParams,
+         summary_only: bool = False) -> Tensor:
     """Causal selective attention over a patch sequence with summary token at 0.
 
-    patches: [P+1, D] or [B, P+1, D]; output has the same shape. Non-token
-    outputs depend only on positions up to their own index.
+    patches: [P+1, D] or [B, P+1, D] with P >= 1; output has the same shape.
+    Non-token outputs depend only on positions up to their own index.
+
+    With `summary_only`, only the token queries, as in CaiT's class attention:
+    the output is the token's row alone, [D] or [B, D], bit for bit the
+    default output's row 0. The patch rows are never computed.
     """
+    if summary_only:
+        # Two query rows, not one: numpy runs a one-row product as gemv, which
+        # rounds unlike the gemm of the full path, while row 0 of a two-row
+        # gemm rounds as row 0 of a taller one. Row 1 is a dummy query. Rows
+        # never mix in the forward pass, and row 1's output is dropped, so its
+        # gradient is exactly zero and it needs no causal mask.
+        return _block(patches[..., :2, :], patches, params, None, None)[..., 0, :]
     length = patches.shape[-2]
     return _block(patches, patches, params, CausalMask.create(length), None)
 

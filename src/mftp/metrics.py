@@ -164,9 +164,20 @@ def score_target(pred: PredictionSet, gt: np.ndarray, k: int, threshold: float,
     )
 
 
+def _check_scoring_args(k: int, threshold: float) -> None:
+    if k < 1:
+        raise ValueError(f"k={k}: the number of scored modes must be >= 1")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"miss threshold={threshold}: must be finite and > 0")
+
+
 def evaluate_model(model, scenarios: list[Scenario], k: int,
                    threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
-    """`evaluate_predictions` on the model's own global-frame `predict_scenario` outputs."""
+    """`evaluate_predictions` on the model's own global-frame `predict_scenario` outputs.
+
+    A bad `k` or threshold is rejected before any scene is predicted.
+    """
+    _check_scoring_args(k, threshold)
     predictions = {(s.scenario_id, target): pred
                    for s in scenarios for target, pred in model.predict_scenario(s)}
     return evaluate_predictions(predictions, scenarios, k, threshold)
@@ -175,7 +186,12 @@ def evaluate_model(model, scenarios: list[Scenario], k: int,
 def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
                          scenarios: list[Scenario], k: int,
                          threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
-    """Score predictions keyed by (scenario id, target); a repeated id raises ValueError."""
+    """Score predictions keyed by (scenario id, target).
+
+    A repeated id, `k < 1` or a miss threshold that is not finite and > 0
+    raises ValueError before anything is scored.
+    """
+    _check_scoring_args(k, threshold)
     rows = []
     seen = set()
     for s in scenarios:

@@ -3,10 +3,11 @@
 The filtered history [B, T, C] is cut into overlapping windows at several
 granularities (small windows catch local wiggles, the full-length window the
 overall trend). Each window is flattened, projected to the patch hidden
-size, tagged with a sinusoidal position code, and summarized by causal
-selective attention through a learnable summary token prepended at position
-0. The per-granularity summaries are concatenated and fused by a two-layer
-MLP into the [B, C] node handed to the spatial stage.
+size, tagged with a sinusoidal position code, and summarized by selective
+attention through a learnable summary token prepended at position 0. Only
+the token queries (tsam's summary-only mode): it reads every patch, and no
+patch output is computed. The per-granularity summaries are concatenated and
+fused by a two-layer MLP into the [B, C] node handed to the spatial stage.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ def encode_granularity(x: Tensor, params: GranularityEncoderParams) -> Tensor:
     tok = broadcast_to(params.token, (B, 1, d_patch))
     seq = concat([tok, emb], axis=1)                                # [B, P+1, D_p]
     seq = seq + Tensor(sinusoidal_encoding(seq.shape[1], d_patch))
-    out = tsam(seq, params.block)
-    return out[:, 0, :]
+    return tsam(seq, params.block, summary_only=True)
 
 
 @dataclass

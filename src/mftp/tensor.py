@@ -335,9 +335,12 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     Leading axes broadcast numpy-style. An output row does not depend, bit
     for bit, on where its row of `a` sits: BLAS gemm rounds rows alike, gemv
     does not, so a one-column `b` is summed by numpy over the C-ordered
-    product, which adds every row in the same order. With `exact_sum`, each
-    contraction is a sorted sum, independent of summand order (used for
-    sums over a permutable axis).
+    product, which adds every row in the same order. numpy also runs a
+    one-row `a` as gemv, so no product of a single row shares gemm's
+    rounding: a caller that needs one row rounded as in a taller product
+    passes two rows and drops one (tsam's summary-only mode). With
+    `exact_sum`, each contraction is a sorted sum, independent of summand
+    order (used for sums over a permutable axis).
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)

@@ -13,6 +13,8 @@ from mftp.attention import (
     ssam,
     tsam,
 )
+from mftp.config import Config
+from mftp.patching import patch_count
 from mftp.tensor import Tensor, grad_check
 
 
@@ -233,6 +235,37 @@ def test_tsam_batched_agrees_with_per_sequence():
     for b in range(3):
         single = tsam(Tensor(x[b]), bp).data
         assert np.max(np.abs(batched[b] - single)) <= 1e-12
+
+
+def _tsam_token_row_and_grads(x, bp, weight, summary_only):
+    for p in bp.named("tsam").values():
+        p.zero_grad()
+    xt = Tensor(x, requires_grad=True)
+    out = tsam(xt, bp, summary_only=True) if summary_only else tsam(xt, bp)[..., 0, :]
+    (out * Tensor(weight)).sum().backward()
+    grads = {name: p.grad.copy() for name, p in bp.named("tsam").items()}
+    grads["input"] = xt.grad.copy()
+    return out.data, grads
+
+
+@pytest.mark.parametrize("window, stride", Config().model.resolved_granularities())
+def test_tsam_summary_only_equals_token_row_bitwise(window, stride):
+    m = Config().model
+    length = patch_count(m.t_history, window, stride) + 1
+    rng = np.random.default_rng(40 + window)
+    bp = AttentionBlockParams.create(rng, dim=m.d_patch, n_heads=m.n_heads)
+    for lead in ((5,), ()):                         # [B, P+1, D] and [P+1, D]
+        x = rng.normal(size=lead + (length, m.d_patch))
+        weight = rng.normal(size=lead + (m.d_patch,))
+        ref, ref_grads = _tsam_token_row_and_grads(x, bp, weight, summary_only=False)
+        out, grads = _tsam_token_row_and_grads(x, bp, weight, summary_only=True)
+        assert out.shape == lead + (m.d_patch,)
+        assert np.array_equal(out, ref)
+        for name, g in grads.items():
+            if name == "tsam.attn.gate.fc2.b":      # a bias sum over another pair count
+                assert np.allclose(g, ref_grads[name], rtol=1e-12, atol=0.0), name
+            else:
+                assert np.array_equal(g, ref_grads[name]), name
 
 
 def test_ssam_single_agent_dense_row_is_one():

@@ -201,6 +201,28 @@ def test_eval_rejects_oversized_k(tiny_setup, capsys):
     assert "k=6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--k", "-1"], "k=-1"), (["--k", "-4"], "k=-4"), (["--k", "0"], "k=0"),
+    (["--k", "2", "--miss-threshold", "nan"], "threshold=nan"),
+    (["--k", "2", "--miss-threshold", "-1"], "threshold=-1.0"),
+    (["--k", "2", "--miss-threshold", "0"], "threshold=0.0"),
+    (["--k", "2", "--miss-threshold", "inf"], "threshold=inf"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_eval_rejects_bad_k_or_miss_threshold(tiny_setup, capsys, flags, named):
+    _, cfg_path, scn_path, tmp_path = tiny_setup
+    out = str(tmp_path / "run")
+    pred_path = str(tmp_path / "pred.json")
+    assert main(["train", "--config", cfg_path, "--out", out]) == 0
+    assert main(["predict", "--checkpoint", out, "--scenarios", scn_path,
+                 "--out", pred_path]) == 0
+    capsys.readouterr()
+    for source in (["--checkpoint", out], ["--predictions", pred_path]):
+        assert main(["eval", *source, "--scenarios", scn_path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "min_fde" not in captured.out
+
+
 def test_eval_deterministic(tiny_setup, capsys):
     _, cfg_path, scn_path, tmp_path = tiny_setup
     out = str(tmp_path / "run")

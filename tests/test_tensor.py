@@ -218,6 +218,25 @@ def test_matmul_rows_independent_of_position(a_shape, b_shape):
         assert np.array_equal(out, base[..., perm, :])
 
 
+@pytest.mark.parametrize("batch", (1, 24, 256))
+@pytest.mark.parametrize("length", (2, 4, 8))
+@pytest.mark.parametrize("a_dims, b_dims", [
+    (("B", "L", 32), (32, 32)), (("B", "L", 32), (32, 64)),        # projections
+    (("B", 4, "L", 8), ("B", 4, 8, "L")),                          # scores
+    (("B", 4, "L", "L"), ("B", 4, "L", 8)),                        # context
+], ids=("proj32", "proj64", "scores", "context"))
+def test_matmul_two_rows_round_as_in_a_taller_product(a_dims, b_dims, batch, length):
+    # tsam's summary-only mode queries with two rows and keeps row 0, which
+    # must round as row 0 of the full path's L-row product
+    size = {"B": batch, "L": length}
+    rng = np.random.default_rng(batch + length)
+    a = rng.normal(size=[size.get(d, d) for d in a_dims])
+    b = rng.normal(size=[size.get(d, d) for d in b_dims])
+    tall = matmul(Tensor(a), Tensor(b)).data
+    two = matmul(Tensor(a[..., :2, :]), Tensor(b)).data
+    assert np.array_equal(two, tall[..., :2, :])
+
+
 def test_cumsum_matches_numpy_bitwise():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 7, 2))
