@@ -13,8 +13,9 @@ On-disk format (one JSON object per file):
                                 "future":  [[x, y, valid], ...]}],
                     "targets": [int, ...]}]}
 
-Coordinates are meters; valid is 0 or 1 and marks padded states that every
-downstream computation must ignore.
+Coordinates are meters; valid is 0 or 1 and marks padded states, whose
+coordinates `normalize` zeroes. A target's future must have no padded step:
+training and scoring refuse one.
 """
 
 from __future__ import annotations

@@ -171,13 +171,26 @@ def _check_scoring_args(k: int, threshold: float) -> None:
         raise ValueError(f"miss threshold={threshold}: must be finite and > 0")
 
 
+def _check_ground_truth(scenarios: list[Scenario]) -> None:
+    """Reject a target whose future has a padded step: it has no ground truth there."""
+    for s in scenarios:
+        for target in s.targets:
+            padded = np.flatnonzero(s.agents[target].future[:, 2] == 0.0)
+            if padded.size:
+                raise ValueError(f"scenario {s.scenario_id!r} target {target}: future "
+                                 f"step {int(padded[0])} is padded (valid = 0), so the "
+                                 "target cannot be scored")
+
+
 def evaluate_model(model, scenarios: list[Scenario], k: int,
                    threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
     """`evaluate_predictions` on the model's own global-frame `predict_scenario` outputs.
 
-    A bad `k` or threshold is rejected before any scene is predicted.
+    A bad `k` or threshold, or a target with a padded future step, is
+    rejected before any scene is predicted.
     """
     _check_scoring_args(k, threshold)
+    _check_ground_truth(scenarios)
     predictions = {(s.scenario_id, target): pred
                    for s in scenarios for target, pred in model.predict_scenario(s)}
     return evaluate_predictions(predictions, scenarios, k, threshold)
@@ -188,10 +201,12 @@ def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
                          threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
     """Score predictions keyed by (scenario id, target).
 
-    A repeated id, `k < 1` or a miss threshold that is not finite and > 0
-    raises ValueError before anything is scored.
+    A repeated id, `k < 1`, a miss threshold that is not finite and > 0, or
+    a target whose future has a padded step (`valid = 0`) raises ValueError
+    before anything is scored.
     """
     _check_scoring_args(k, threshold)
+    _check_ground_truth(scenarios)
     rows = []
     seen = set()
     for s in scenarios:

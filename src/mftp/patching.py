@@ -12,6 +12,7 @@ fused by a two-layer MLP into the [B, C] node handed to the spatial stage.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,14 @@ def patchify(x: Tensor, window: int, stride: int) -> Tensor:
     return windows(x, range(0, T - window + 1, stride), window)
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
-    """Standard sin/cos position table, [length, dim]."""
+    """Standard sin/cos position table, [length, dim]; built once per shape, read-only."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (2.0 * (i // 2)) / dim)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
     return table
 
 

@@ -321,6 +321,28 @@ def test_eval_rejects_step_count_mismatch(tiny_setup, capsys):
     assert "trajectory has 3 steps, ground truth has 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fill", [np.nan, 0.0])
+def test_eval_rejects_padded_ground_truth_step(tiny_setup, capsys, fill):
+    cfg, cfg_path, _, tmp_path = tiny_setup
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_path, "--out", out]) == 0
+    pred_path = str(tmp_path / "gt_pred.json")
+    write_predictions(pred_path, _gt_records(cfg))
+    scenarios = generate_synthetic(cfg.data.synthetic, seed=0)
+    s = scenarios[1]
+    target = s.targets[0]
+    s.agents[target].future[1] = [fill, fill, 0.0]
+    scn_path = str(tmp_path / "padded.json")
+    save_scenarios(scn_path, scenarios)
+    capsys.readouterr()
+    for source in (["--checkpoint", out], ["--predictions", pred_path]):
+        assert main(["eval", *source, "--scenarios", scn_path, "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (f"scenario {s.scenario_id!r} target {target}: future step 1 is padded"
+                in captured.err)
+        assert "min_ade" not in captured.out
+
+
 def _write_doc(tmp_path, records):
     path = tmp_path / "preds.json"
     path.write_text(json.dumps({"predictions": records}))

@@ -202,3 +202,21 @@ def test_repeated_scenario_id_raises_in_both_evaluators():
         evaluate_predictions(preds, twins, k=1)
     with pytest.raises(ValueError, match=f"scenario id {scenes[0].scenario_id!r} repeats"):
         evaluate_model(model, twins, k=1)
+
+
+@pytest.mark.parametrize("fill", [np.nan, 0.0])
+def test_padded_ground_truth_step_raises_in_both_evaluators_before_predicting(fill):
+    model, scenes = _tiny_model_and_scenes()
+    preds = {(s.scenario_id, t): p for s in scenes for t, p in model.predict_scenario(s)}
+    s = scenes[1]
+    target = s.targets[-1]
+    s.agents[target].future[2] = [fill, fill, 0.0]
+    match = rf"scenario {s.scenario_id!r} target {target}: future step 2 is padded"
+    with pytest.raises(ValueError, match=match):
+        evaluate_predictions(preds, scenes, k=1)
+
+    def no_predictions(scenario):
+        raise AssertionError("predicted a scene before rejecting the ground truth")
+    model.predict_scenario = no_predictions
+    with pytest.raises(ValueError, match=match):
+        evaluate_model(model, scenes, k=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mftp.config import ModelConfig
 from mftp.freq import FreqMoEParams, moe_filter
 from mftp.nn import Mlp
 from mftp.patching import (
@@ -12,7 +13,7 @@ from mftp.patching import (
     patchify,
     sinusoidal_encoding,
 )
-from mftp.tensor import Tensor, concat, grad_check
+from mftp.tensor import Tensor, concat, grad_check, windows
 
 from test_attention import manual_block
 from mftp.attention import CausalMask
@@ -233,3 +234,31 @@ def test_patchify_grad_check(window, stride):
     mix = Tensor(rng.normal(size=(2, patch_count(8, window, stride), window * 3)))
     x0 = Tensor(rng.normal(size=(2, 8, 3)))
     assert grad_check(lambda t: (patchify(t, window, stride) * mix).square().sum(), x0) <= 1e-4
+
+
+@pytest.mark.parametrize("batch", [1, 3, 256])
+@pytest.mark.parametrize("window,stride", ModelConfig().resolved_granularities())
+def test_windows_equals_per_window_slicing_bitwise(window, stride, batch):
+    cfg = ModelConfig()
+    t_len, channels = cfg.t_history, cfg.channels
+    rng = np.random.default_rng(batch * 100 + window * 10 + stride)
+    x0 = rng.normal(size=(batch, t_len, channels))
+    mix = rng.normal(size=(batch, patch_count(t_len, window, stride), window * channels))
+    results = []
+    for op in (lambda x: windows(x, range(0, t_len - window + 1, stride), window),
+               lambda x: _composed_patchify(x, window, stride)):
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = op(x)
+        ((x * 0.3).exp().sum() + (out * mix).square().sum()).backward()
+        results.append((out.data, x.grad))
+    assert results[0][0].tobytes() == results[1][0].tobytes()
+    assert results[0][1].tobytes() == results[1][1].tobytes()
+
+
+def test_sinusoidal_encoding_is_cached_and_read_only():
+    pe = sinusoidal_encoding(7, 16)
+    assert sinusoidal_encoding(7, 16) is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pe[0, 0] = 1.0
+    assert np.array_equal(pe, sinusoidal_encoding.__wrapped__(7, 16))

@@ -393,3 +393,105 @@ def test_affine_layer_norm_gradients_match_finite_differences_and_composed():
         grads.append((x.grad, gain.grad, bias.grad))
     for fused, composed in zip(*grads):
         assert np.allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("op_name, op", [
+    ("add", lambda a, b: a + b), ("sub", lambda a, b: a - b),
+    ("mul", lambda a, b: a * b), ("div", lambda a, b: a / b),
+])
+def test_elementwise_mismatch_names_op_and_both_shapes(op_name, op):
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2)))
+    with pytest.raises(ValueError,
+                       match=rf"^{op_name}: shapes \(2, 3\) and \(4, 2\) do not broadcast$"):
+        op(a, b)
+
+
+def test_matmul_leading_axis_mismatch_names_leading_axes():
+    with pytest.raises(ValueError, match=r"leading axes.*\(2, 3\).*\(4,\)"):
+        matmul(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((4, 5, 6))))
+    with pytest.raises(ValueError, match="leading axes"):
+        matmul(Tensor(np.ones((2, 4, 5))), Tensor(np.ones((3, 5, 6))), exact_sum=True)
+    assert matmul(Tensor(np.ones((2, 1, 4, 5))), Tensor(np.ones((3, 5, 6)))).shape == (2, 3, 4, 6)
+
+
+def test_first_gradient_of_negative_zero_is_stored_as_zero_plus_g():
+    # the VJP of x * w hands x the gradient w, which holds a -0.0
+    w = np.array([-0.0, 1.5, -2.0])
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    (x * Tensor(w)).sum().backward()
+    assert x.grad.tobytes() == (0.0 + w).tobytes() == (np.zeros(3) + w).tobytes()
+    assert not np.signbit(x.grad[0])
+
+
+def test_tensor_reached_through_reshape_and_same_shape_add_gets_its_gradient():
+    # reshape's VJP returns a view of its node's gradient, and a same-shape
+    # add returns that gradient itself, so x's first share aliases another
+    # node's array until it is copied
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w = Tensor(np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]]))
+    v = Tensor(np.array([[2.0, 2.0, -1.0], [1.0, 0.0, 8.0]]))
+    r = x.reshape(3, 2).reshape(2, 3)
+    s = x + r
+    ((s * w).sum() + (x * v).sum()).backward()
+    assert np.array_equal(x.grad, 2.0 * w.data + v.data)
+    assert np.array_equal(s.grad, w.data)
+    assert np.array_equal(r.grad, w.data)
+
+
+def _record_vjp_outputs(root: Tensor) -> list:
+    """Wrap every VJP reachable from `root` to keep its outputs and their copies."""
+    seen, stack, outputs = set(), [root], []
+
+    def recorded(vjp):
+        def run(g):
+            out = vjp(g)
+            outputs.append((out, np.array(out, copy=True)))
+            return out
+        return run
+
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        node._vjps = tuple(recorded(v) for v in node._vjps)
+        stack.extend(p for p in node._parents if p.requires_grad)
+    return outputs
+
+
+def test_no_vjp_output_is_changed_by_a_later_accumulation():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    h = x.reshape(6, 4).reshape(2, 3, 4) + x
+    t = h.transpose(0, 2, 1).transpose(0, 2, 1)
+    y = layer_norm(matmul(t, w) + t) * x
+    loss = concat([y, x], axis=1).square().sum() + (x - h).mean()
+    outputs = _record_vjp_outputs(loss)
+    loss.backward()
+    assert len(outputs) > 10
+    for out, before in outputs:
+        assert np.array_equal(out, before)
+
+
+@pytest.mark.parametrize("shape, axis", [
+    ((8, 32), -1), ((3, 5, 16), -1), ((1, 3, 32), -1), ((4, 6), 0), ((2, 3, 4), (0, 2)),
+    ((5, 7), None),
+])
+def test_mean_and_layer_norm_equal_np_mean_bitwise(shape, axis):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape) * 3.0 + 1.0
+    assert np.array_equal(Tensor(x).mean(axis=axis).data, np.mean(x, axis=axis))
+    centered = x - np.mean(x, axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True) + 1e-5)
+    assert np.array_equal(layer_norm(Tensor(x)).data, centered / std * 1.0 + 0.0)
+
+
+def test_first_gradient_from_a_transposed_view_is_stored_c_contiguous():
+    # transpose's VJP hands x a strided view; its gradient keeps zeros_like's layout
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = rng.normal(size=(4, 3))
+    (x.transpose(1, 0) * Tensor(w)).sum().backward()
+    assert x.grad.flags["C_CONTIGUOUS"]
+    assert x.grad.tobytes() == (np.zeros((3, 4)) + w.T).tobytes()
