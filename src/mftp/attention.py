@@ -22,6 +22,26 @@ The spatial forward sorts its two sums over keys (softmax denominator and
 blended @ v); every other contraction is over channels, and `matmul` rounds
 each row alike wherever it sits. So its permutation equivariance over agents
 holds bit-exactly, not just to rounding error.
+
+`selective_attention` records one tape node, not one per op. Its forward
+runs the array math of the tape ops it replaces (`tensor`'s `_matmul_data`,
+`_softmax_data`, `_sigmoid_data`, `_linear_data`, `_layer_norm_data`) in
+their order, so its output has their bits. Its eleven parents are q, k, v,
+the gate's fc1/fc2 weights and biases, out_proj's weight and bias, and the
+layer norm's gain and bias. One backward runs those ops' VJPs in the order
+the tape ran them and adds q's three shares (residual, gate, scores) in the
+tape's order, so every gradient keeps its bits as well; `tensor._joint_node`
+hands its results out as one VJP per parent.
+
+Until its output is dropped, the node keeps every array the composed tape
+kept: the head splits; the raw, scaled and masked scores; dense and sparse;
+the pair pre-activation and hidden; the gate; the two gated terms and
+blended; ctx and merged; the projection and the residual sum. The backward
+reads most of them, and the node holds the rest too. Freeing those inside
+the forward changed how the heap is reused: predict-crowd then faulted
+about 3970 pages per scene, against about 65 held (minor faults counted
+with getrusage inside the benchmark process, 2 vCPUs). That cost more
+throughput than the fused node saved.
 """
 
 from __future__ import annotations
@@ -32,7 +52,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import LayerNorm, Linear, Mlp, Module
-from .tensor import Tensor, linear, matmul, softmax
+from .tensor import (
+    Array,
+    Tensor,
+    _contiguous,
+    _joint_node,
+    _layer_norm_data,
+    _layer_norm_vjps,
+    _linear_data,
+    _linear_vjps,
+    _matmul_data,
+    _matmul_vjps,
+    _sigmoid_data,
+    _sigmoid_vjp,
+    _softmax_data,
+    _softmax_vjp,
+    _unbroadcast,
+)
 
 
 @dataclass
@@ -79,17 +115,22 @@ class SelectiveAttentionParams(Module):
         )
 
 
-def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear) -> Tensor:
+def _gate_pre(q: Array, k: Array, fc1: Linear) -> Array:
     """fc1 of concat(q_i, k_j) for every pair: [B, Lq, D], [B, Lk, D] -> [B, Lq, Lk, hidden].
 
     By linearity this is q_i @ W[:D] + b (once per query) plus k_j @ W[D:]
     (once per key), broadcast-added over the pairs.
     """
     B, Lq, D = q.shape
-    Lk = k.shape[1]
-    hq = linear(q, fc1.w[:D], fc1.b)
-    hk = matmul(k, fc1.w[D:])
-    return hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, Lk, -1)
+    w = fc1.w.data
+    hq = _linear_data(q, w[:D], fc1.b.data)
+    hk = _matmul_data(k, w[D:], False)
+    return hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, k.shape[1], -1)
+
+
+def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear) -> Tensor:
+    """`_gate_pre` on tensors, for inspection: the result is not on the tape."""
+    return Tensor(_gate_pre(q.data, k.data, fc1))
 
 
 def selective_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -108,49 +149,97 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     `exact_sum` sorts the two sums over keys (softmax denominator and
     blended @ v), so the output is bit-exactly equivariant to a permutation
     of the keys/queries.
+
+    One tape node with eleven parents: q, k, v, the gate's fc1/fc2 weights
+    and biases, out_proj's weight and bias, and the layer norm's gain and bias.
     """
     squeeze = q.ndim == 2
-    if squeeze:
-        q, k, v = (t.reshape(1, *t.shape) for t in (q, k, v))
-    B, Lq, D = q.shape
-    Lk = k.shape[1]
+    qd, kd, vd = (t.data[None] if squeeze else t.data for t in (q, k, v))
+    B, Lq, D = qd.shape
+    Lk = kd.shape[1]
     H = params.n_heads
     if D % H:
         raise ValueError(f"selective_attention: dim {D} not divisible by {H} heads")
     dh = D // H
+    fc1, fc2 = params.gate_mlp.fc1, params.gate_mlp.fc2
+    out_proj, ln = params.out_proj, params.ln
 
-    qh = q.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)      # [B, H, Lq, dh]
-    kt = k.reshape(B, Lk, H, dh).transpose(0, 2, 3, 1)      # [B, H, dh, Lk]
-    vh = v.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3)
+    qh = _contiguous(qd.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3))     # [B, H, Lq, dh]
+    kt = _contiguous(kd.reshape(B, Lk, H, dh).transpose(0, 2, 3, 1))     # [B, H, dh, Lk]
+    vh = _contiguous(vd.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3))
 
-    scores = matmul(qh, kt) * (1.0 / math.sqrt(dh))
-    additive = np.zeros((1, 1, Lq, Lk))
-    if mask is not None:
-        additive = additive + mask.m
-    if key_mask is not None:
-        col = np.where(np.asarray(key_mask, dtype=bool), 0.0, -np.inf)
-        additive = additive + np.broadcast_to(col, (B, Lk)).reshape(B, 1, 1, Lk)
+    scale = 1.0 / math.sqrt(dh)
+    products = _matmul_data(qh, kt, False)
+    scaled = scores = products * scale
     if mask is not None or key_mask is not None:
-        scores = scores + Tensor(additive)
+        additive = np.zeros((1, 1, Lq, Lk))
+        if mask is not None:
+            additive = additive + mask.m
+        if key_mask is not None:
+            col = np.where(np.asarray(key_mask, dtype=bool), 0.0, -np.inf)
+            additive = additive + np.broadcast_to(col, (B, Lk)).reshape(B, 1, 1, Lk)
+        scores = scaled + additive
 
-    dense = softmax(scores, exact_sum=exact_sum)            # masked cols -> exactly 0
-    sparse = scores.relu().square()                         # -inf -> exactly 0
+    dense = _softmax_data(scores, exact_sum)                # masked cols -> exactly 0
+    positive = np.maximum(scores, 0.0)
+    sparse = positive * positive                            # -inf -> exactly 0
 
     # pairwise gate from each (query, key) pair, shared across heads
-    hidden = _gate_first_layer(q, k, params.gate_mlp.fc1).relu()
-    gate_h = params.gate_mlp.fc2(hidden).sigmoid().reshape(B, 1, Lq, Lk)
+    pre = _gate_pre(qd, kd, fc1)                            # [B, Lq, Lk, hidden]
+    hidden = np.maximum(pre, 0.0)
+    sig = _sigmoid_data(_linear_data(hidden, fc2.w.data, fc2.b.data))
+    gate = sig.reshape(B, 1, Lq, Lk)
+    one_minus = 1.0 - gate
 
-    blended = gate_h * dense + (1.0 - gate_h) * sparse
-    ctx = matmul(blended, vh, exact_sum=exact_sum)          # [B, H, Lq, dh]
-    merged = ctx.transpose(0, 2, 1, 3).reshape(B, Lq, D)
-    out = params.ln(q + params.out_proj(merged))
+    gated_dense, gated_sparse = gate * dense, one_minus * sparse
+    blended = gated_dense + gated_sparse
+    ctx = _matmul_data(blended, vh, exact_sum)              # [B, H, Lq, dh]
+    merged = _contiguous(ctx.transpose(0, 2, 1, 3)).reshape(B, Lq, D)
+    projected = _linear_data(merged, out_proj.w.data, out_proj.b.data)
+    res = qd + projected
+    out_data, xhat, std = _layer_norm_data(res, ln.gain.data, ln.bias.data)
 
-    if squeeze:
-        out = out.reshape(Lq, D)
+    def backward(g: Array) -> tuple[Array, ...]:
+        # The composed ops' VJPs, in their order; q's three shares add as
+        # the tape added them (residual, gate, scores).
+        g = g.reshape(B, Lq, D)
+        d_res, d_gain, d_bias = (f(g) for f in _layer_norm_vjps(xhat, std, ln.gain.data,
+                                                               ln.bias.shape))
+        d_merged, d_wo, d_bo = (f(d_res) for f in _linear_vjps(merged, out_proj.w.data,
+                                                             out_proj.b.shape))
+        d_ctx = _contiguous(d_merged.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3))
+        d_blended, d_vh = (f(d_ctx) for f in _matmul_vjps(blended, vh))
+        d_gate = (_unbroadcast(d_blended * dense, gate.shape)
+                  - _unbroadcast(d_blended * sparse, gate.shape))
+        d_z = _sigmoid_vjp(sig, d_gate.reshape(sig.shape))
+        d_hidden, d_w2, d_b2 = (f(d_z) for f in _linear_vjps(hidden, fc2.w.data, fc2.b.shape))
+        d_pre = d_hidden * (pre > 0.0)
+        d_hq = _unbroadcast(d_pre, (B, Lq, 1, pre.shape[-1])).reshape(B, Lq, -1)
+        d_hk = _unbroadcast(d_pre, (B, 1, Lk, pre.shape[-1])).reshape(B, Lk, -1)
+        d_q_gate, d_w1q, d_b1 = (f(d_hq) for f in _linear_vjps(qd, fc1.w.data[:D],
+                                                             fc1.b.shape))
+        d_k_gate, d_w1k = (f(d_hk) for f in _matmul_vjps(kd, fc1.w.data[D:]))
+        # square's VJP; relu's mask adds nothing, `positive` is 0 where it is
+        d_scores = (_softmax_vjp(dense, d_blended * gate)
+                    + d_blended * one_minus * 2.0 * positive)
+        d_qh, d_kt = (f(d_scores * scale) for f in _matmul_vjps(qh, kt))
+        d_q = d_res + d_q_gate + d_qh.transpose(0, 2, 1, 3).reshape(B, Lq, D)
+        d_k = d_k_gate + d_kt.transpose(0, 3, 1, 2).reshape(B, Lk, D)
+        d_v = d_vh.transpose(0, 2, 1, 3).reshape(B, Lk, D)
+        return (d_q.reshape(q.shape), d_k.reshape(k.shape), d_v.reshape(v.shape),
+                np.concatenate([d_w1q, d_w1k]), d_b1, d_w2, d_b2, d_wo, d_bo,
+                d_gain, d_bias)
+
+    # Arrays the backward does not read, held as long as those it does (see
+    # the module docstring): freeing them here re-faults heap pages per scene.
+    backward.holds = (products, scaled, scores, gated_dense, gated_sparse, ctx,
+                      projected, res)
+    out = _joint_node(out_data.reshape(q.shape), (q, k, v, fc1.w, fc1.b, fc2.w, fc2.b,
+                                                  out_proj.w, out_proj.b, ln.gain, ln.bias),
+                      backward)
     if return_scores:
-        snap = AttentionScores(dense=dense.data.copy(), sparse=sparse.data.copy(),
-                               gate=gate_h.data.reshape(B, Lq, Lk).copy(),
-                               blended=blended.data.copy())
+        snap = AttentionScores(dense=dense.copy(), sparse=sparse.copy(),
+                               gate=gate.reshape(B, Lq, Lk).copy(), blended=blended.copy())
         return out, snap
     return out
 

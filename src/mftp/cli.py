@@ -9,10 +9,11 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import Config, ConfigError, load_config
-from .data import ScenarioFormatError, load_scenarios
+from .data import ScenarioFormatError, load_scenarios, scenario_sha256
 from .metrics import DEFAULT_MISS_THRESHOLD, evaluate_model, evaluate_predictions
 from .prediction_io import load_predictions, write_predictions
 from .training import check_horizons, load_checkpoint, train
@@ -66,8 +67,10 @@ def cmd_predict(args) -> int:
     check_horizons(scenarios, config)
     records = []
     for s in scenarios:
+        digest = scenario_sha256(s)
         for target, pred in model.predict_scenario(s):
-            records.append((s.scenario_id, target, pred))
+            records.append((s.scenario_id, target,
+                            dataclasses.replace(pred, scenario_sha256=digest)))
     write_predictions(args.out, records)
     print(f"wrote {len(records)} prediction records to {args.out}")
     return 0

@@ -20,6 +20,7 @@ training and scoring refuse one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -183,7 +184,23 @@ def save_scenarios(path: str, scenarios: list[Scenario]) -> None:
         for s in scenarios
     ]}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))     # json.dump's bytes, without its streaming encoder
+
+
+def scenario_sha256(s: Scenario) -> str:
+    """Hex sha256 of a scenario's content: `dt`, targets and every agent's tracks.
+
+    The id is left out: it is what a prediction names, and this says whether
+    the scenario under that id is still the one the prediction was made on.
+    """
+    d = hashlib.sha256()
+    d.update(np.float64(s.dt).tobytes())
+    d.update(np.asarray([len(s.targets), *s.targets, len(s.agents)], dtype="<i8").tobytes())
+    for a in s.agents:
+        for track in (a.history, a.future):
+            d.update(np.asarray(track.shape, dtype="<i8").tobytes())
+            d.update(np.ascontiguousarray(track, dtype="<f8").tobytes())
+    return d.hexdigest()
 
 
 # -- agent-centric normalization ---------------------------------------------------

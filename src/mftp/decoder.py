@@ -26,6 +26,7 @@ class PredictionSet:
     """K candidate futures with mode probabilities, for one target or a batch."""
     trajs: Tensor              # [K, T_f, 2] or [B, K, T_f, 2], meters
     probs: Tensor              # [K] or [B, K], nonnegative, sums to 1
+    scenario_sha256: str | None = None   # `data.scenario_sha256` of the scene predicted on
 
     @property
     def num_modes(self) -> int:

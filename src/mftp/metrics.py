@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Scenario
+from .data import Scenario, scenario_sha256
 from .decoder import PredictionSet
 from .tensor import Tensor
 
@@ -203,7 +203,9 @@ def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
 
     A repeated id, `k < 1`, a miss threshold that is not finite and > 0, or
     a target whose future has a padded step (`valid = 0`) raises ValueError
-    before anything is scored.
+    before anything is scored. A prediction whose `scenario_sha256` is not
+    that of the scenario now under its id raises ValueError too; a scene is
+    hashed only when one of its predictions carries a digest.
     """
     _check_scoring_args(k, threshold)
     _check_ground_truth(scenarios)
@@ -213,12 +215,20 @@ def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
         if s.scenario_id in seen:
             raise ValueError(f"scenario id {s.scenario_id!r} repeats")
         seen.add(s.scenario_id)
+        digest = None
         for target in s.targets:
             key = (s.scenario_id, target)
             if key not in predictions:
                 raise ValueError(f"missing prediction for scenario {s.scenario_id} "
                                  f"target {target}")
             pred = predictions[key]
+            if pred.scenario_sha256 is not None:
+                digest = digest or scenario_sha256(s)
+                if pred.scenario_sha256 != digest:
+                    raise ValueError(f"prediction for scenario {s.scenario_id!r} target "
+                                     f"{target} was made on other scenario content "
+                                     f"(sha256 {pred.scenario_sha256}, the scenario "
+                                     f"now hashes to {digest})")
             if k > pred.num_modes:
                 raise ValueError(f"prediction for {key} has {pred.num_modes} modes, "
                                  f"k={k} requested")

@@ -1,13 +1,17 @@
 """On-disk prediction exchange format.
 
     {"predictions": [{"scenario": str, "target": int,
-                      "modes": [{"prob": float, "traj": [[x, y], ...]}]}]}
+                      "modes": [{"prob": float, "traj": [[x, y], ...]}],
+                      "scenario_sha256": str}]}
 
-Trajectories are global-frame meters. Loading rejects a file that is not
-valid JSON, a `predictions` value that is not a list, a record whose target
-is not an integer, a record whose probabilities are not one finite,
-non-negative value per mode summing to 1, and a record that repeats an
-earlier (scenario, target) pair.
+Trajectories are global-frame meters. `scenario_sha256`, optional, is the
+`data.scenario_sha256` of the scene the record was predicted on (`mftp
+predict` writes it); scoring refuses a record whose scene now hashes
+differently. Loading rejects a file that is not valid JSON, a `predictions`
+value that is not a list, a record whose target is not an integer, a
+`scenario_sha256` that is not a string, a record whose probabilities are not
+one finite, non-negative value per mode summing to 1, and a record that
+repeats an earlier (scenario, target) pair.
 """
 
 from __future__ import annotations
@@ -24,20 +28,24 @@ PROB_SUM_TOL = 1e-6   # per-record probabilities must sum to 1 within this
 
 def write_predictions(path: str,
                       records: list[tuple[str, int, PredictionSet]]) -> None:
-    doc = {"predictions": [
-        {
-            "scenario": sid,
-            "target": int(target),
-            "modes": [
-                {"prob": float(pred.probs.data[k]),
-                 "traj": pred.trajs.data[k].tolist()}
-                for k in range(pred.num_modes)
-            ],
-        }
-        for sid, target, pred in records
-    ]}
+    doc = {"predictions": [_record(sid, target, pred) for sid, target, pred in records]}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))     # json.dump's bytes, without its streaming encoder
+
+
+def _record(sid: str, target: int, pred: PredictionSet) -> dict:
+    rec = {
+        "scenario": sid,
+        "target": int(target),
+        "modes": [
+            {"prob": float(pred.probs.data[k]),
+             "traj": pred.trajs.data[k].tolist()}
+            for k in range(pred.num_modes)
+        ],
+    }
+    if pred.scenario_sha256 is not None:
+        rec["scenario_sha256"] = pred.scenario_sha256
+    return rec
 
 
 def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
@@ -63,6 +71,9 @@ def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
             raise ValueError(f"{path}: malformed prediction record {i} ({exc})") from None
         if type(target) is not int:
             raise ValueError(f"{path}: record {i} target {target!r} is not an integer")
+        digest = rec.get("scenario_sha256")
+        if digest is not None and type(digest) is not str:
+            raise ValueError(f"{path}: record {i} scenario_sha256 {digest!r} is not a string")
         if trajs.ndim != 3 or trajs.shape[-1] != 2:
             raise ValueError(f"{path}: record {i} trajectories must be [K, T, 2]")
         if probs.shape != trajs.shape[:1]:
@@ -78,5 +89,6 @@ def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
         if (sid, target) in out:
             raise ValueError(f"{path}: record {i} repeats scenario {sid!r} "
                              f"target {target}")
-        out[(sid, target)] = PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs))
+        out[(sid, target)] = PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs),
+                                           scenario_sha256=digest)
     return out

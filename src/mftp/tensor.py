@@ -13,6 +13,19 @@ the tape once in reverse topological order, accumulates gradients into every
 ops would record several. Complex quantities (frequency spectra) are carried
 as a `ComplexTensor` pair of real tensors so the tape itself stays real-valued.
 
+Larger fusions, such as `attention.selective_attention` (one node where the
+ops it is made of recorded 32 or 33), run the ops' array math directly: the
+forward and VJP helpers of matmul, linear, softmax, sigmoid and layer norm
+(`_matmul_data`, `_softmax_vjp`, ...) are shared by the tape ops and the
+fused nodes, so each op's arithmetic is written once and a fused node keeps
+its ops' bits. Such a node computes all of its parents' gradients in one
+backward function, recorded by `_joint_node`: the function runs once, when
+`backward` asks for the first parent's share, and each parent's VJP hands
+out its own entry of the result, so `backward` stays the one place that
+routes gradients. The node's closure keeps the arrays its backward reads;
+`selective_attention` also holds the other arrays its ops' nodes kept (see
+that module).
+
 Broadcasting follows numpy's trailing-dimension alignment. Anything fancier
 has to be an explicit reshape/broadcast_to at the call site. Shape errors come
 from numpy's own check: `+ - * /` call the ufunc directly and re-word its
@@ -22,7 +35,7 @@ a broadcast shape ahead of numpy.
 What a node costs: on desk-scale shapes the fixed Python and numpy call cost
 of a node outweighs its arithmetic. Building a `[1, 32]` add or multiply node
 takes about 2.6 us (2 vCPUs, Python 3.11, numpy 2.4.6), and a desk scene's
-forward pass of 299 nodes takes a few ms. So an op does no shape or copy
+forward pass of 110 nodes takes a few ms. So an op does no shape or copy
 work that numpy or its result does not need.
 """
 
@@ -313,13 +326,8 @@ class Tensor:
         return _node(np.log(d), (self,), lambda g: g / d)
 
     def sigmoid(self) -> "Tensor":
-        d = self.data
-        out_data = np.empty_like(d)
-        pos = d >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        ex = np.exp(d[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
-        return _node(out_data, (self,), lambda g: g * out_data * (1.0 - out_data))
+        out_data = _sigmoid_data(self.data)
+        return _node(out_data, (self,), lambda g: _sigmoid_vjp(out_data, g))
 
 
 def _node(data: Array, parents: tuple[Tensor, ...],
@@ -330,6 +338,23 @@ def _node(data: Array, parents: tuple[Tensor, ...],
     tensor, so the tape holds no reference cycles.
     """
     return Tensor._from_op(data, parents, vjps)
+
+
+def _joint_node(data: Array, parents: tuple[Tensor, ...],
+                joint_vjp: Callable[[Array], Sequence[Array]]) -> Tensor:
+    """A tape node whose parents' gradients come out of one backward computation.
+
+    `joint_vjp(g)` returns one gradient per parent. It runs once, when
+    `Tensor.backward` asks for the first parent's share, and each parent's
+    VJP hands out its own entry, so `backward` routes them like any others.
+    """
+    grads: list[Array] = []
+
+    def share(g: Array, i: int) -> Array:
+        if not grads:
+            grads.extend(joint_vjp(g))
+        return grads[i]
+    return _node(data, parents, *(lambda g, i=i: share(g, i) for i in range(len(parents))))
 
 
 def _unreduce(g: Array, axis, keepdims: bool) -> Array:
@@ -366,18 +391,22 @@ def matmul(a: Tensor, b: Tensor, exact_sum: bool = False) -> Tensor:
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
-    return _node(_matmul_data(a, b, exact_sum), (a, b), *_matmul_vjps(a, b))
+    return _node(_matmul_data(a.data, b.data, exact_sum), (a, b),
+                 *_matmul_vjps(a.data, b.data))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`matmul(x, w) + b` as one tape node, with `matmul`'s product."""
-    out_data = _matmul_data(x, w, False)
-    out_data += b.data
-    return _node(out_data, (x, w, b), *_matmul_vjps(x, w),
-                 lambda g: _unbroadcast(g, b.shape))
+    return _node(_linear_data(x.data, w.data, b.data), (x, w, b),
+                 *_linear_vjps(x.data, w.data, b.shape))
 
 
-def _matmul_data(a: Tensor, b: Tensor, exact_sum: bool) -> Array:
+# The array math of matmul, linear, softmax, sigmoid and layer_norm, forward
+# and VJPs, shared by their tape ops and by fused nodes such as
+# `attention.selective_attention`, so each op's arithmetic is written once.
+
+
+def _matmul_data(a: Array, b: Array, exact_sum: bool) -> Array:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul: operands must have ndim >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -388,15 +417,75 @@ def _matmul_data(a: Tensor, b: Tensor, exact_sum: bool) -> Array:
         except ValueError:
             raise _broadcast_error("matmul (leading axes)", a.shape[:-2], b.shape[:-2]) from None
     if exact_sum or b.shape[-1] == 1:
-        prod = np.multiply(a.data[..., :, None, :],                # [..., n, m, k]
-                           np.swapaxes(b.data, -1, -2)[..., None, :, :], order="C")
+        prod = np.multiply(a[..., :, None, :],                     # [..., n, m, k]
+                           np.swapaxes(b, -1, -2)[..., None, :, :], order="C")
         return _sorted_sum_last(prod) if exact_sum else prod.sum(axis=-1)
-    return np.matmul(a.data, b.data)
+    return np.matmul(a, b)
 
 
-def _matmul_vjps(a: Tensor, b: Tensor) -> tuple[Callable[[Array], Array], ...]:
-    return (lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
-            lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+def _matmul_vjps(a: Array, b: Array) -> tuple[Callable[[Array], Array], ...]:
+    return (lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape),
+            lambda g: _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape))
+
+
+def _linear_data(x: Array, w: Array, b: Array) -> Array:
+    out = _matmul_data(x, w, False)
+    out += b
+    return out
+
+
+def _linear_vjps(x: Array, w: Array, b_shape: tuple) -> tuple[Callable[[Array], Array], ...]:
+    return (*_matmul_vjps(x, w), lambda g: _unbroadcast(g, b_shape))
+
+
+def _softmax_data(x: Array, exact_sum: bool) -> Array:
+    """Row softmax over the last axis, max-subtracted; `exact_sum` sorts the denominator."""
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    if exact_sum:
+        denom = _sorted_sum_last(np.array(e, order="C"))[..., None]   # a sorted copy
+    else:
+        denom = e.sum(axis=-1, keepdims=True)
+    return e / denom
+
+
+def _softmax_vjp(out: Array, g: Array) -> Array:
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+def _sigmoid_data(d: Array) -> Array:
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _sigmoid_vjp(out: Array, g: Array) -> Array:
+    return g * out * (1.0 - out)
+
+
+def _layer_norm_data(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
+    """`layer_norm`'s output, with the normalized input and the std its VJPs need."""
+    n = x.shape[-1]     # every mean is sum / n: np.mean's bits without its wrapper
+    centered = x - x.sum(axis=-1, keepdims=True) / n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat = centered / std
+    return xhat * gain + bias, xhat, std
+
+
+def _layer_norm_vjps(xhat: Array, std: Array, gain: Array,
+                     bias_shape: tuple) -> tuple[Callable[[Array], Array], ...]:
+    n = xhat.shape[-1]
+
+    def vjp_x(g: Array) -> Array:
+        g = g * gain
+        return (g - g.sum(axis=-1, keepdims=True) / n
+                - xhat * (g * xhat).sum(axis=-1, keepdims=True) / n) / std
+
+    return (vjp_x, lambda g: _unbroadcast(g * xhat, gain.shape),
+            lambda g: _unbroadcast(g, bias_shape))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -446,15 +535,8 @@ def broadcast_to(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def softmax(x: Tensor, exact_sum: bool = False) -> Tensor:
     """Row softmax over the last axis, max-subtracted for stability."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    if exact_sum:
-        denom = _sorted_sum_last(np.array(e, order="C"))[..., None]   # a sorted copy
-    else:
-        denom = e.sum(axis=-1, keepdims=True)
-    out_data = e / denom
-    return _node(out_data, (x,),
-                 lambda g: out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
+    out_data = _softmax_data(x.data, exact_sum)
+    return _node(out_data, (x,), lambda g: _softmax_vjp(out_data, g))
 
 
 def cumsum(x: Tensor, axis: int) -> Tensor:
@@ -470,19 +552,9 @@ def layer_norm(x: Tensor, gain: Tensor | float = 1.0, bias: Tensor | float = 0.0
     One tape node; the VJP of `x` is the closed form of the composed ops' one.
     """
     gain, bias = (t if isinstance(t, Tensor) else Tensor(t) for t in (gain, bias))
-    n = x.shape[-1]     # every mean is sum / n: np.mean's bits without its wrapper
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
-    xhat = centered / std
-
-    def vjp_x(g: Array) -> Array:
-        g = g * gain.data
-        return (g - g.sum(axis=-1, keepdims=True) / n
-                - xhat * (g * xhat).sum(axis=-1, keepdims=True) / n) / std
-
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), vjp_x,
-                 lambda g: _unbroadcast(g * xhat, gain.shape),
-                 lambda g: _unbroadcast(g, bias.shape))
+    out_data, xhat, std = _layer_norm_data(x.data, gain.data, bias.data)
+    return _node(out_data, (x, gain, bias),
+                 *_layer_norm_vjps(xhat, std, gain.data, bias.shape))
 
 
 # -- complex carrier -------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from mftp.attention import (
     AttentionBlockParams,
+    AttentionScores,
     CausalMask,
     SelectiveAttentionParams,
     _gate_first_layer,
@@ -15,7 +16,7 @@ from mftp.attention import (
 )
 from mftp.config import Config
 from mftp.patching import patch_count
-from mftp.tensor import Tensor, grad_check
+from mftp.tensor import Tensor, grad_check, grad_check_param, linear, matmul, softmax
 
 
 def _sigmoid(x):
@@ -407,3 +408,122 @@ def test_factored_gate_matches_concatenated_pair_input(exact_sum):
     _, snap = selective_attention(Tensor(q), Tensor(k), Tensor(k), p,
                                   exact_sum=exact_sum, return_scores=True)
     assert np.max(np.abs(snap.gate - gate)) <= 1e-12
+
+
+def _composed_selective_attention(q, k, v, p: SelectiveAttentionParams, mask=None,
+                                  key_mask=None, exact_sum=False):
+    """The attention as separate tape ops, one node per op: the fused node's reference."""
+    squeeze = q.ndim == 2
+    if squeeze:
+        q, k, v = (t.reshape(1, *t.shape) for t in (q, k, v))
+    B, Lq, D = q.shape
+    Lk = k.shape[1]
+    H = p.n_heads
+    dh = D // H
+    qh = q.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
+    kt = k.reshape(B, Lk, H, dh).transpose(0, 2, 3, 1)
+    vh = v.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3)
+    scores = matmul(qh, kt) * (1.0 / math.sqrt(dh))
+    additive = np.zeros((1, 1, Lq, Lk))
+    if mask is not None:
+        additive = additive + mask.m
+    if key_mask is not None:
+        col = np.where(np.asarray(key_mask, dtype=bool), 0.0, -np.inf)
+        additive = additive + np.broadcast_to(col, (B, Lk)).reshape(B, 1, 1, Lk)
+    if mask is not None or key_mask is not None:
+        scores = scores + Tensor(additive)
+    dense = softmax(scores, exact_sum=exact_sum)
+    sparse = scores.relu().square()
+    fc1 = p.gate_mlp.fc1
+    hq = linear(q, fc1.w[:D], fc1.b)
+    hk = matmul(k, fc1.w[D:])
+    hidden = (hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, Lk, -1)).relu()
+    gate = p.gate_mlp.fc2(hidden).sigmoid().reshape(B, 1, Lq, Lk)
+    blended = gate * dense + (1.0 - gate) * sparse
+    ctx = matmul(blended, vh, exact_sum=exact_sum)
+    merged = ctx.transpose(0, 2, 1, 3).reshape(B, Lq, D)
+    out = p.ln(q + p.out_proj(merged))
+    snap = AttentionScores(dense=dense.data, sparse=sparse.data,
+                           gate=gate.data.reshape(B, Lq, Lk), blended=blended.data)
+    return (out.reshape(Lq, D) if squeeze else out), snap
+
+
+def _fused_node_parents(p: SelectiveAttentionParams) -> dict:
+    return {"gate.fc1.w": p.gate_mlp.fc1.w, "gate.fc1.b": p.gate_mlp.fc1.b,
+            "gate.fc2.w": p.gate_mlp.fc2.w, "gate.fc2.b": p.gate_mlp.fc2.b,
+            "out.w": p.out_proj.w, "out.b": p.out_proj.b,
+            "ln.gain": p.ln.gain, "ln.bias": p.ln.bias}
+
+
+FUSED_CASES = {
+    # name: (q shape, k/v shape, mask, key mask, exact_sum)
+    "tsam_summary_only": ((5, 2, 8), (5, 4, 8), None, None, False),
+    "tsam_full_causal": ((3, 5, 8), (3, 5, 8), CausalMask.create(5), None, False),
+    "ssam_exact_key_mask": ((3, 6, 8), (3, 6, 8), None,
+                            np.array([[1, 1, 0, 1, 0, 1], [1, 0, 0, 0, 1, 1],
+                                      [1, 1, 1, 1, 1, 1]], dtype=bool), True),
+    "cross_key_mask": ((3, 4, 8), (3, 6, 8), None,
+                       np.array([[1, 0, 1, 1, 1, 1], [1, 1, 1, 0, 0, 1],
+                                 [0, 1, 1, 1, 1, 1]], dtype=bool), False),
+    "two_d_key_mask": ((4, 8), (5, 8), None, np.array([1, 1, 0, 1, 1], dtype=bool), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_node_is_bitwise_the_composed_ops(case):
+    """Output, scores snapshot and every parent's gradient equal the composed tape's bits."""
+    q_shape, kv_shape, mask, key_mask, exact_sum = FUSED_CASES[case]
+    rng = np.random.default_rng(sorted(FUSED_CASES).index(case) + 40)
+    p = SelectiveAttentionParams.create(rng, dim=8, n_heads=2)
+    for t in _fused_node_parents(p).values():
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    q, k, v = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in (q_shape, kv_shape, kv_shape))
+    weights = rng.normal(size=q_shape)
+    leaves = {"q": q, "k": k, "v": v, **_fused_node_parents(p)}
+
+    def grads(run):
+        for t in leaves.values():
+            t.zero_grad()
+        out, snap = run()
+        (out * Tensor(weights)).sum().backward()
+        return out.data, snap, {name: t.grad for name, t in leaves.items()}
+
+    out, snap, fused = grads(lambda: selective_attention(
+        q, k, v, p, mask=mask, key_mask=key_mask, exact_sum=exact_sum, return_scores=True))
+    ref_out, ref_snap, composed = grads(lambda: _composed_selective_attention(
+        q, k, v, p, mask=mask, key_mask=key_mask, exact_sum=exact_sum))
+    assert out.shape == q_shape
+    assert out.tobytes() == ref_out.tobytes()
+    for field_name in ("dense", "sparse", "gate", "blended"):
+        assert getattr(snap, field_name).tobytes() == getattr(ref_snap, field_name).tobytes()
+    for name in leaves:
+        assert fused[name].tobytes() == composed[name].tobytes(), name
+
+
+def test_fused_node_records_one_tape_node_with_eleven_parents():
+    rng = np.random.default_rng(45)
+    p = SelectiveAttentionParams.create(rng, dim=8, n_heads=2)
+    q, k, v = _qkv(rng, 3, 8, k_len=4)
+    out = selective_attention(q, k, v, p)
+    params = list(_fused_node_parents(p).values())
+    assert out._parents == (q, k, v, *params)
+    assert len(out._vjps) == 11
+
+
+@pytest.mark.parametrize("masks", ["causal", "key"])
+def test_fused_node_grad_check_every_parent(masks):
+    rng = np.random.default_rng(46)
+    p = SelectiveAttentionParams.create(rng, dim=4, n_heads=2)
+    for t in _fused_node_parents(p).values():
+        t.data[...] = rng.normal(scale=0.5, size=t.shape)
+    q, k, v = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3))
+    weights = Tensor(rng.normal(size=(2, 3, 4)))
+    kw = ({"mask": CausalMask.create(3)} if masks == "causal"
+          else {"key_mask": np.array([[1, 0, 1], [1, 1, 0]], dtype=bool)})
+
+    def loss():
+        return (selective_attention(q, k, v, p, **kw) * weights).sum()
+
+    for name, t in {"q": q, "k": k, "v": v, **_fused_node_parents(p)}.items():
+        assert grad_check_param(loss, t) <= 1e-4, name

@@ -1,14 +1,18 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
+from mftp import metrics
 from mftp.cli import main
 from mftp.config import Config, ModelConfig, TrainingConfig, DataConfig, save_config
 from mftp.data import GenConfig, generate_synthetic, save_scenarios
 from mftp.prediction_io import load_predictions, write_predictions
 from mftp.decoder import PredictionSet
+from mftp.model import TrajectoryPredictor
 from mftp.tensor import Tensor
+from mftp.training import save_checkpoint
 
 
 @pytest.fixture()
@@ -577,3 +581,63 @@ def test_eval_rejects_prediction_file_that_is_not_json(tiny_setup, capsys):
     assert main(["eval", "--predictions", str(pred_path), "--scenarios", scn_path,
                  "--k", "1"]) == 2
     assert f"{pred_path}: not valid JSON" in capsys.readouterr().err
+
+
+def test_write_predictions_writes_json_dump_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    records = [(f"sc{i}", i, PredictionSet(trajs=Tensor(rng.normal(size=(2, 4, 2))),
+                                           probs=Tensor(np.array([0.375, 0.625])),
+                                           scenario_sha256=None if i else "ab" * 32))
+               for i in range(3)]
+    path = tmp_path / "p.json"
+    write_predictions(str(path), records)
+    expected = io.StringIO()
+    json.dump(json.loads(path.read_text()), expected)
+    assert path.read_text() == expected.getvalue()
+    assert "scenario_sha256" in json.loads(path.read_text())["predictions"][0]
+    assert "scenario_sha256" not in json.loads(path.read_text())["predictions"][1]
+
+
+def test_eval_refuses_predictions_made_on_other_scenario_content(tmp_path, capsys):
+    """Same ids, other tracks: synthetic ids depend on the seed alone."""
+    cfg = Config()
+    ckpt = save_checkpoint(str(tmp_path / "ckpt"), TrajectoryPredictor(cfg.model, seed=0),
+                           cfg, step=0)
+    made_on, other = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_scenarios(made_on, generate_synthetic(GenConfig(num_scenarios=4), seed=0))
+    save_scenarios(other, generate_synthetic(
+        GenConfig(num_scenarios=4, speed_range=(10.0, 20.0)), seed=0))
+    pred_path = str(tmp_path / "pred.json")
+    assert main(["predict", "--checkpoint", ckpt, "--scenarios", made_on,
+                 "--out", pred_path]) == 0
+    assert main(["eval", "--predictions", pred_path, "--scenarios", made_on]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--predictions", pred_path, "--scenarios", other]) == 2
+    err = capsys.readouterr().err
+    assert "scenario 'synthetic-0-0'" in err and "other scenario content" in err
+
+
+def test_eval_scores_prediction_files_without_digests_and_hashes_nothing(
+        tiny_setup, capsys, monkeypatch):
+    cfg, _, scn_path, tmp_path = tiny_setup
+    pred_path = str(tmp_path / "pred.json")
+    write_predictions(pred_path, _gt_records(cfg))
+    assert "scenario_sha256" not in open(pred_path).read()
+    assert all(p.scenario_sha256 is None for p in load_predictions(pred_path).values())
+
+    def no_hashing(s):
+        raise AssertionError("hashed a scenario with no digest to check")
+    monkeypatch.setattr(metrics, "scenario_sha256", no_hashing)
+    assert main(["eval", "--predictions", pred_path, "--scenarios", scn_path,
+                 "--k", "1"]) == 0
+    assert "min_fde_k=0.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("digest", [7, None, ["ab"]])
+def test_prediction_file_rejects_digest_that_is_not_a_string(tmp_path, digest):
+    rec = {**_record(), "scenario_sha256": digest}
+    if digest is None:
+        assert load_predictions(_write_doc(tmp_path, [rec]))[("sc", 1)].scenario_sha256 is None
+        return
+    with pytest.raises(ValueError, match="record 0 scenario_sha256 .* is not a string"):
+        load_predictions(_write_doc(tmp_path, [rec]))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import io
 import json
 import math
 
@@ -14,6 +17,7 @@ from mftp.data import (
     load_scenarios,
     normalize,
     save_scenarios,
+    scenario_sha256,
 )
 
 
@@ -353,3 +357,31 @@ def test_normalize_equals_per_track_reference_bitwise(seed):
             assert np.array_equal(frame.history, hist)
             assert np.array_equal(frame.future, fut)
             assert np.array_equal(frame.agent_valid, valid)
+
+
+def test_scenario_sha256_follows_content_not_id():
+    base = generate_synthetic(GenConfig(num_scenarios=1, num_agents=3, num_targets=2), seed=4)[0]
+    digest = scenario_sha256(base)
+    assert len(digest) == 64
+    assert scenario_sha256(dataclasses.replace(base, scenario_id="renamed")) == digest
+    assert scenario_sha256(copy.deepcopy(base)) == digest
+
+    def edited(edit):
+        s = copy.deepcopy(base)
+        edit(s)
+        return scenario_sha256(s)
+    assert edited(lambda s: setattr(s, "dt", s.dt * 2.0)) != digest
+    assert edited(lambda s: s.targets.reverse()) != digest
+    assert edited(lambda s: s.targets.pop()) != digest
+    assert edited(lambda s: s.agents[2].history.__setitem__((3, 0), 1e-9)) != digest
+    assert edited(lambda s: s.agents[0].future.__setitem__((-1, 2), 0.0)) != digest
+    assert edited(lambda s: s.agents.pop()) != digest
+
+
+def test_save_scenarios_writes_json_dump_bytes(tmp_path):
+    scenarios = generate_synthetic(GenConfig(num_scenarios=3), seed=2)
+    path = tmp_path / "s.json"
+    save_scenarios(str(path), scenarios)
+    expected = io.StringIO()
+    json.dump(json.loads(path.read_text()), expected)
+    assert path.read_text() == expected.getvalue()

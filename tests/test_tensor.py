@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from mftp.tensor import (
     ComplexTensor,
+    _joint_node,
     _sorted_sum_last,
     Tensor,
     broadcast_to,
@@ -112,8 +114,10 @@ def test_shape_mismatch_names_shapes():
     "concat", "getitem", "reshape", "transpose", "cumsum", "broadcast_to",
 ])
 def test_every_op_gradient_matches_finite_differences(op_name):
-    rng = np.random.default_rng(hash(op_name) % 2**32)
-    x0 = rng.normal(size=(3, 4)) + 3.0          # positive, away from relu/abs kinks
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))   # the same in every process
+    # 2.6 -/+ [0.1, 1.4]: positive for log and sqrt, at least 0.1 from the
+    # relu kink at 2.6, on either side of it, and far from the abs kink at 0
+    x0 = 2.6 + rng.choice([-1.0, 1.0], size=(3, 4)) * rng.uniform(0.1, 1.4, size=(3, 4))
     c34 = Tensor(rng.normal(size=(3, 4)))       # fixed mixing constants
     c4 = Tensor(rng.normal(size=4))
     c3 = Tensor(rng.normal(size=3))
@@ -495,3 +499,24 @@ def test_first_gradient_from_a_transposed_view_is_stored_c_contiguous():
     (x.transpose(1, 0) * Tensor(w)).sum().backward()
     assert x.grad.flags["C_CONTIGUOUS"]
     assert x.grad.tobytes() == (np.zeros((3, 4)) + w.T).tobytes()
+
+
+def test_joint_node_runs_its_backward_once_and_hands_each_parent_its_share():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    c = Tensor(np.array([5.0, 6.0]))                  # no gradient asked for
+    calls = []
+
+    def joint_vjp(g):
+        calls.append(g.copy())
+        return g * b.data, g * a.data, g, g
+
+    # a * b + a + c, with `a` listed once per use
+    out = _joint_node(a.data * b.data + a.data + c.data, (a, b, a, c), joint_vjp)
+    (out * Tensor(np.array([2.0, 3.0]))).sum().backward()
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [2.0, 3.0])
+    assert np.array_equal(a.grad, np.array([2.0, 3.0]) * b.data + [2.0, 3.0])
+    assert np.array_equal(b.grad, np.array([2.0, 3.0]) * a.data)
+    assert c.grad is None
+    assert out._parents == () and out._vjps == ()     # freed with the rest of the tape

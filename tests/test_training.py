@@ -347,3 +347,42 @@ def test_checkpoint_rejects_negative_step(tmp_path):
     with pytest.raises(ValueError, match=r"step -3 is negative") as err:
         load_checkpoint(out)
     assert str(tmp_path / "ckpt" / "manifest.json") in str(err.value)
+
+
+def _record_nodes(monkeypatch) -> list:
+    make = Tensor.__dict__["_from_op"].__func__
+    nodes = []
+
+    def recorded(data, parents, vjps):
+        out = make(data, parents, vjps)
+        if out.requires_grad:
+            nodes.append(out.shape)
+        return out
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(recorded))
+    return nodes
+
+
+def _default_step_inputs():
+    cfg = Config()
+    items = build_training_items(load_training_scenarios(cfg))
+    model = TrajectoryPredictor(cfg.model, seed=cfg.training.seed)
+    batch = [items[i] for i in _batch_indices(0, cfg.training.batch_size, len(items))]
+    return cfg, model, batch
+
+
+def test_default_forward_records_at_most_110_tape_nodes(monkeypatch):
+    """Each of the six selective attentions is one node (was 32 or 33 each)."""
+    _, model, batch = _default_step_inputs()
+    nodes = _record_nodes(monkeypatch)
+    model.forward_frames([it.frame for it in batch])
+    assert 0 < len(nodes) <= 110
+
+
+def test_one_default_train_step_graph_stays_within_283_nodes(monkeypatch):
+    """Op nodes plus the parameter leaves, as a walk of the step's graph counts them."""
+    cfg, model, batch = _default_step_inputs()
+    params = model.parameters()
+    optimizer = Adam(params, lr=cfg.training.learning_rate)
+    nodes = _record_nodes(monkeypatch)
+    train_step(model, optimizer, batch, cfg)
+    assert 0 < len(nodes) + len(params) <= 283
