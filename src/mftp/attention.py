@@ -33,15 +33,20 @@ the tape ran them and adds q's three shares (residual, gate, scores) in the
 tape's order, so every gradient keeps its bits as well; `tensor._joint_node`
 hands its results out as one VJP per parent.
 
-Until its output is dropped, the node keeps every array the composed tape
-kept: the head splits; the raw, scaled and masked scores; dense and sparse;
-the pair pre-activation and hidden; the gate; the two gated terms and
-blended; ctx and merged; the projection and the residual sum. The backward
-reads most of them, and the node holds the rest too. Freeing those inside
-the forward changed how the heap is reused: predict-crowd then faulted
-about 3970 pages per scene, against about 65 held (minor faults counted
-with getrusage inside the benchmark process, 2 vCPUs). That cost more
-throughput than the fused node saved.
+The forward frees nothing it allocates before the node's output is
+dropped. The backward's closure holds what it reads: the head splits, the
+masked scores, dense, relu(scores) and sparse, the pair hidden, the gate and
+1 - gate, blended, merged, and the layer norm's normalized input and std.
+The node holds the rest: the additive mask, the gate's two halves and its
+logits, ctx, and the residual sum. Scaling and masking the scores, the
+relu of the pair pre-activation, the blend and the residual add run in
+place, so it allocates less than the composed ops did, and the backward
+masks on hidden > 0, which is the pre-activation's relu mask. Both matter
+on predict-crowd, where throughput follows how often the heap is trimmed
+and faulted in again within a scene: a fused forward that freed its
+intermediates as it went took about 3970 minor page faults per scene
+(seed 901), against about 200-700 for the composed tape and 85-390 for
+this one (seeds 1401-1404; getrusage inside the benchmark process, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -115,22 +120,23 @@ class SelectiveAttentionParams(Module):
         )
 
 
-def _gate_pre(q: Array, k: Array, fc1: Linear) -> Array:
+def _gate_pre(q: Array, k: Array, fc1: Linear) -> tuple[Array, Array, Array]:
     """fc1 of concat(q_i, k_j) for every pair: [B, Lq, D], [B, Lk, D] -> [B, Lq, Lk, hidden].
 
     By linearity this is q_i @ W[:D] + b (once per query) plus k_j @ W[D:]
-    (once per key), broadcast-added over the pairs.
+    (once per key), broadcast-added over the pairs. The two halves are
+    returned too, for the attention node to hold.
     """
     B, Lq, D = q.shape
     w = fc1.w.data
     hq = _linear_data(q, w[:D], fc1.b.data)
     hk = _matmul_data(k, w[D:], False)
-    return hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, k.shape[1], -1)
+    return hq.reshape(B, Lq, 1, -1) + hk.reshape(B, 1, k.shape[1], -1), hq, hk
 
 
 def _gate_first_layer(q: Tensor, k: Tensor, fc1: Linear) -> Tensor:
     """`_gate_pre` on tensors, for inspection: the result is not on the tape."""
-    return Tensor(_gate_pre(q.data, k.data, fc1))
+    return Tensor(_gate_pre(q.data, k.data, fc1)[0])
 
 
 def selective_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -169,8 +175,9 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
     vh = _contiguous(vd.reshape(B, Lk, H, dh).transpose(0, 2, 1, 3))
 
     scale = 1.0 / math.sqrt(dh)
-    products = _matmul_data(qh, kt, False)
-    scaled = scores = products * scale
+    scores = _matmul_data(qh, kt, False)
+    scores *= scale
+    additive = None
     if mask is not None or key_mask is not None:
         additive = np.zeros((1, 1, Lq, Lk))
         if mask is not None:
@@ -178,25 +185,26 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
         if key_mask is not None:
             col = np.where(np.asarray(key_mask, dtype=bool), 0.0, -np.inf)
             additive = additive + np.broadcast_to(col, (B, Lk)).reshape(B, 1, 1, Lk)
-        scores = scaled + additive
+        scores += additive
 
     dense = _softmax_data(scores, exact_sum)                # masked cols -> exactly 0
     positive = np.maximum(scores, 0.0)
     sparse = positive * positive                            # -inf -> exactly 0
 
     # pairwise gate from each (query, key) pair, shared across heads
-    pre = _gate_pre(qd, kd, fc1)                            # [B, Lq, Lk, hidden]
-    hidden = np.maximum(pre, 0.0)
-    sig = _sigmoid_data(_linear_data(hidden, fc2.w.data, fc2.b.data))
+    hidden, hq, hk = _gate_pre(qd, kd, fc1)                 # [B, Lq, Lk, hidden]
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = _linear_data(hidden, fc2.w.data, fc2.b.data)
+    sig = _sigmoid_data(logits)
     gate = sig.reshape(B, 1, Lq, Lk)
     one_minus = 1.0 - gate
 
-    gated_dense, gated_sparse = gate * dense, one_minus * sparse
-    blended = gated_dense + gated_sparse
+    blended = gate * dense
+    blended += one_minus * sparse
     ctx = _matmul_data(blended, vh, exact_sum)              # [B, H, Lq, dh]
     merged = _contiguous(ctx.transpose(0, 2, 1, 3)).reshape(B, Lq, D)
-    projected = _linear_data(merged, out_proj.w.data, out_proj.b.data)
-    res = qd + projected
+    res = _linear_data(merged, out_proj.w.data, out_proj.b.data)
+    res += qd
     out_data, xhat, std = _layer_norm_data(res, ln.gain.data, ln.bias.data)
 
     def backward(g: Array) -> tuple[Array, ...]:
@@ -213,9 +221,9 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
                   - _unbroadcast(d_blended * sparse, gate.shape))
         d_z = _sigmoid_vjp(sig, d_gate.reshape(sig.shape))
         d_hidden, d_w2, d_b2 = (f(d_z) for f in _linear_vjps(hidden, fc2.w.data, fc2.b.shape))
-        d_pre = d_hidden * (pre > 0.0)
-        d_hq = _unbroadcast(d_pre, (B, Lq, 1, pre.shape[-1])).reshape(B, Lq, -1)
-        d_hk = _unbroadcast(d_pre, (B, 1, Lk, pre.shape[-1])).reshape(B, Lk, -1)
+        d_pre = d_hidden * (hidden > 0.0)                   # relu's mask, as pre > 0
+        d_hq = _unbroadcast(d_pre, (B, Lq, 1, hidden.shape[-1])).reshape(B, Lq, -1)
+        d_hk = _unbroadcast(d_pre, (B, 1, Lk, hidden.shape[-1])).reshape(B, Lk, -1)
         d_q_gate, d_w1q, d_b1 = (f(d_hq) for f in _linear_vjps(qd, fc1.w.data[:D],
                                                              fc1.b.shape))
         d_k_gate, d_w1k = (f(d_hk) for f in _matmul_vjps(kd, fc1.w.data[D:]))
@@ -232,8 +240,7 @@ def selective_attention(q: Tensor, k: Tensor, v: Tensor,
 
     # Arrays the backward does not read, held as long as those it does (see
     # the module docstring): freeing them here re-faults heap pages per scene.
-    backward.holds = (products, scaled, scores, gated_dense, gated_sparse, ctx,
-                      projected, res)
+    backward.holds = (additive, hq, hk, logits, ctx, res)
     out = _joint_node(out_data.reshape(q.shape), (q, k, v, fc1.w, fc1.b, fc2.w, fc2.b,
                                                   out_proj.w, out_proj.b, ln.gain, ln.bias),
                       backward)

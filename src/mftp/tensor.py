@@ -23,8 +23,8 @@ backward function, recorded by `_joint_node`: the function runs once, when
 `backward` asks for the first parent's share, and each parent's VJP hands
 out its own entry of the result, so `backward` stays the one place that
 routes gradients. The node's closure keeps the arrays its backward reads;
-`selective_attention` also holds the other arrays its ops' nodes kept (see
-that module).
+`selective_attention` also holds the rest of what its forward allocates
+(see that module).
 
 Broadcasting follows numpy's trailing-dimension alignment. Anything fancier
 has to be an explicit reshape/broadcast_to at the call site. Shape errors come
