@@ -12,8 +12,8 @@ import argparse
 import dataclasses
 import sys
 
-from .config import Config, ConfigError, load_config
-from .data import ScenarioFormatError, load_scenarios, scenario_sha256
+from .config import Config, load_config
+from .data import load_scenarios, scenario_sha256
 from .metrics import DEFAULT_MISS_THRESHOLD, evaluate_model, evaluate_predictions
 from .prediction_io import load_predictions, write_predictions
 from .training import check_horizons, load_checkpoint, train
@@ -92,7 +92,7 @@ def cmd_eval(args) -> int:
                                 threshold=args.miss_threshold)
     print(report.to_text())
     if args.per_target_csv:
-        with open(args.per_target_csv, "w") as fh:
+        with open(args.per_target_csv, "w", encoding="utf-8") as fh:
             fh.write(report.per_target_csv())
         print(f"per_target_csv={args.per_target_csv}")
     return 0
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(args)
         return cmd_eval(args)
-    except (ConfigError, ScenarioFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:      # ConfigError and ScenarioFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

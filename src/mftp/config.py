@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .data import ConfigError, GenConfig, check_fields, rule
+from .data import ConfigError, GenConfig, check_fields, read_json, rule
 from .freq import next_pow2
 from .losses import LossWeights
 
@@ -129,13 +129,8 @@ class Config:
 
 
 def load_config(path: str) -> Config:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     try:
-        cfg = Config.from_dict(doc)
+        cfg = Config.from_dict(read_json(path, ConfigError))
     except TypeError as exc:
         raise ConfigError(f"{path}: unknown or missing config key ({exc})") from None
     cfg.validate()
@@ -143,5 +138,5 @@ def load_config(path: str) -> Config:
 
 
 def save_config(path: str, config: Config) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2)

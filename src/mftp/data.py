@@ -15,7 +15,8 @@ On-disk format (one JSON object per file):
 
 Coordinates are meters; valid is 0 or 1 and marks padded states, whose
 coordinates `normalize` zeroes. A target's future must have no padded step:
-training and scoring refuse one.
+training and scoring refuse one (`check_target_futures`). Every JSON file
+mftp reads goes through `read_json`, as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -90,6 +91,31 @@ class NormalizedScenario:
     frames: list[TargetFrame]
 
 
+def read_json(path: str, error: type[ValueError] = ValueError):
+    """The JSON document in `path`, read as UTF-8 whatever the locale.
+
+    A file that does not decode or parse (nested too deep counts) raises
+    `error`, the calling loader's class, naming the path.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def check_target_futures(scenarios: list[Scenario]) -> None:
+    """Reject a target whose future has a padded step: there is no ground truth
+    there to train on or to score against."""
+    for s in scenarios:
+        for target in s.targets:
+            padded = np.flatnonzero(s.agents[target].future[:, 2] == 0.0)
+            if padded.size:
+                raise ValueError(f"scenario {s.scenario_id!r} target {target}: future "
+                                 f"step {int(padded[0])} is padded (valid = 0), so it has "
+                                 "no ground truth there")
+
+
 def _validate_scenario(s: Scenario, where: str) -> None:
     if not s.agents:
         raise ScenarioFormatError(f"{where}: scenario has no agents")
@@ -125,7 +151,7 @@ def _track_from_record(rec: dict, where: str) -> AgentTrack:
     try:
         hist = np.asarray(rec["history"], dtype=np.float64)
         fut = np.asarray(rec["future"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{where}: malformed agent record ({exc})") from None
     for name, rows in (("history", hist), ("future", fut)):
         if rows.ndim != 2 or rows.shape[1] != 3:
@@ -135,11 +161,7 @@ def _track_from_record(rec: dict, where: str) -> AgentTrack:
 
 def load_scenarios(path: str) -> list[Scenario]:
     """Parse and validate a scenario file; order is preserved."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioFormatError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path, ScenarioFormatError)
     if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
         raise ScenarioFormatError(f"{path}: missing top-level 'scenarios' list")
 
@@ -183,7 +205,7 @@ def save_scenarios(path: str, scenarios: list[Scenario]) -> None:
         }
         for s in scenarios
     ]}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))     # json.dump's bytes, without its streaming encoder
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Scenario, scenario_sha256
+from .data import Scenario, check_target_futures, scenario_sha256
 from .decoder import PredictionSet
 from .tensor import Tensor
 
@@ -171,17 +171,6 @@ def _check_scoring_args(k: int, threshold: float) -> None:
         raise ValueError(f"miss threshold={threshold}: must be finite and > 0")
 
 
-def _check_ground_truth(scenarios: list[Scenario]) -> None:
-    """Reject a target whose future has a padded step: it has no ground truth there."""
-    for s in scenarios:
-        for target in s.targets:
-            padded = np.flatnonzero(s.agents[target].future[:, 2] == 0.0)
-            if padded.size:
-                raise ValueError(f"scenario {s.scenario_id!r} target {target}: future "
-                                 f"step {int(padded[0])} is padded (valid = 0), so the "
-                                 "target cannot be scored")
-
-
 def evaluate_model(model, scenarios: list[Scenario], k: int,
                    threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
     """`evaluate_predictions` on the model's own global-frame `predict_scenario` outputs.
@@ -190,7 +179,7 @@ def evaluate_model(model, scenarios: list[Scenario], k: int,
     rejected before any scene is predicted.
     """
     _check_scoring_args(k, threshold)
-    _check_ground_truth(scenarios)
+    check_target_futures(scenarios)
     predictions = {(s.scenario_id, target): pred
                    for s in scenarios for target, pred in model.predict_scenario(s)}
     return evaluate_predictions(predictions, scenarios, k, threshold)
@@ -208,7 +197,7 @@ def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
     hashed only when one of its predictions carries a digest.
     """
     _check_scoring_args(k, threshold)
-    _check_ground_truth(scenarios)
+    check_target_futures(scenarios)
     rows = []
     seen = set()
     for s in scenarios:

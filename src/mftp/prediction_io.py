@@ -7,7 +7,7 @@
 Trajectories are global-frame meters. `scenario_sha256`, optional, is the
 `data.scenario_sha256` of the scene the record was predicted on (`mftp
 predict` writes it); scoring refuses a record whose scene now hashes
-differently. Loading rejects a file that is not valid JSON, a `predictions`
+differently. Loading rejects a file that is not valid UTF-8 JSON, a `predictions`
 value that is not a list, a record whose target is not an integer, a
 `scenario_sha256` that is not a string, a record whose probabilities are not
 one finite, non-negative value per mode summing to 1, and a record that
@@ -20,6 +20,7 @@ import json
 
 import numpy as np
 
+from .data import read_json
 from .decoder import PredictionSet
 from .tensor import Tensor
 
@@ -29,7 +30,7 @@ PROB_SUM_TOL = 1e-6   # per-record probabilities must sum to 1 within this
 def write_predictions(path: str,
                       records: list[tuple[str, int, PredictionSet]]) -> None:
     doc = {"predictions": [_record(sid, target, pred) for sid, target, pred in records]}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))     # json.dump's bytes, without its streaming encoder
 
 
@@ -49,11 +50,7 @@ def _record(sid: str, target: int, pred: PredictionSet) -> dict:
 
 
 def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or "predictions" not in doc:
         raise ValueError(f"{path}: missing top-level 'predictions' list")
     if not isinstance(doc["predictions"], list):
@@ -67,7 +64,7 @@ def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
             modes = rec["modes"]
             trajs = np.asarray([m["traj"] for m in modes], dtype=np.float64)
             probs = np.asarray([m["prob"] for m in modes], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: malformed prediction record {i} ({exc})") from None
         if type(target) is not int:
             raise ValueError(f"{path}: record {i} target {target!r} is not an integer")

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config, ConfigError
-from .data import Scenario, TargetFrame, generate_synthetic, load_scenarios, normalize
+from .data import (Scenario, TargetFrame, check_target_futures, generate_synthetic,
+                   load_scenarios, normalize, read_json)
 from .decoder import PredictionSet
 from .losses import LossReport, target_loss, total_loss
 from .model import TrajectoryPredictor
@@ -90,17 +91,12 @@ def check_horizons(scenarios: list[Scenario], config: Config) -> None:
 
 
 def build_training_items(scenarios: list[Scenario]) -> list[TrainingItem]:
+    check_target_futures(scenarios)
     items = []
     for s in scenarios:
-        norm = normalize(s)
-        for frame in norm.frames:
-            fut = frame.future[frame.target_index]
-            if np.any(fut[:, 2] == 0.0):
-                raise ValueError(f"scenario {s.scenario_id}: target "
-                                 f"{frame.target_index} future has padded steps; "
-                                 "cannot supervise")
+        for frame in normalize(s).frames:
             items.append(TrainingItem(scenario_id=s.scenario_id, frame=frame,
-                                      gt_local=fut[:, :2].copy()))
+                                      gt_local=frame.future[frame.target_index, :, :2].copy()))
     if not items:
         raise ValueError("no training targets in the dataset")
     return items
@@ -159,7 +155,7 @@ def train(config: Config, out_dir: str | None = None,
 
     if out_dir is not None:
         ckpt = save_checkpoint(out_dir, model, config, config.training.steps)
-        with open(os.path.join(out_dir, "train_log.txt"), "w") as fh:
+        with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(result.log_lines) + "\n")
         if log is not None:
             log(f"checkpoint={ckpt}")       # path stays out of the stored log
@@ -169,40 +165,42 @@ def train(config: Config, out_dir: str | None = None,
 # -- checkpoint io ---------------------------------------------------------------
 
 
+def _layout(params: dict[str, Tensor]) -> list[dict]:
+    """The manifest's parameter table, in model order: each parameter's name,
+    shape, element count and byte offset in `params.bin`, where the buffers
+    lie back to back."""
+    entries, offset = [], 0
+    for name, p in params.items():
+        entries.append({"name": name, "shape": list(p.shape), "offset": offset,
+                        "count": int(p.size)})
+        offset += 8 * int(p.size)
+    return entries
+
+
 def save_checkpoint(out_dir: str, model: TrajectoryPredictor, config: Config,
                     step: int) -> str:
     os.makedirs(out_dir, exist_ok=True)
     params = model.parameters()
-    entries = []
-    blobs = []
-    offset = 0
-    for name, p in params.items():
-        raw = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(p.shape),
-                        "offset": offset, "count": int(p.size)})
-        blobs.append(raw)
-        offset += len(raw)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "dtype": "<f8",
         "step": step,
         "config": config.to_dict(),
-        "params": entries,
+        "params": _layout(params),
     }
     with open(os.path.join(out_dir, PARAMS_NAME), "wb") as fh:
-        fh.write(b"".join(blobs))
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
+        fh.write(b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+                          for p in params.values()))
+    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
     return out_dir
 
 
 def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
+    """Rebuild the model a checkpoint holds; the manifest's parameter table must
+    be the model's own (`_layout`) and every weight finite."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: manifest must be a JSON object, "
                          f"got {type(manifest).__name__}")
@@ -234,33 +232,30 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
         raise ValueError(f"{manifest_path}: config {exc}") from None
     model = TrajectoryPredictor(config.model, seed=config.training.seed)
     params = model.parameters()
-
-    missing = set(params) - {entry["name"] for entry in manifest["params"]}
-    if missing:
-        raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+    layout = _layout(params)
+    names = [entry["name"] for entry in manifest["params"]]
+    if names != list(params):
+        i = next((i for i, (a, b) in enumerate(zip(names, params)) if a != b),
+                 min(len(names), len(params)))
+        got, want = (repr(n[i]) if i < len(n) else "nothing" for n in (names, list(params)))
+        raise ValueError(f"{manifest_path}: parameter entry {i} is {got}, "
+                         f"where the model has {want}")
+    for entry, own in zip(manifest["params"], layout):
+        for key in ("shape", "count", "offset"):
+            if entry[key] != own[key]:
+                raise ValueError(f"{manifest_path}: parameter {own['name']!r} {key} "
+                                 f"{entry[key]} != {own[key]}")
     params_path = os.path.join(path, PARAMS_NAME)
     with open(params_path, "rb") as fh:
         blob = fh.read()
-    end = 0
-    for entry in manifest["params"]:
-        name = entry["name"]
-        if name not in params:
-            raise ValueError(f"checkpoint parameter {name!r} not in model")
-        p = params[name]
-        if list(p.shape) != entry["shape"]:
-            raise ValueError(f"checkpoint parameter {name!r} shape {entry['shape']} "
-                             f"!= model shape {list(p.shape)}")
-        if entry["count"] != p.size:
-            raise ValueError(f"{manifest_path}: parameter {name!r} count {entry['count']} "
-                             f"!= {p.size} elements of shape {entry['shape']}")
-        if entry["offset"] != end:
-            raise ValueError(f"{manifest_path}: parameter {name!r} offset {entry['offset']} "
-                             f"!= {end}, where the previous entry ends")
-        lo, end = end, end + p.size * 8
+    for (name, p), own in zip(params.items(), layout):
+        lo, end = own["offset"], own["offset"] + 8 * own["count"]
         if end > len(blob):
             raise ValueError(f"{params_path}: parameter {name!r} needs bytes {lo}..{end}, "
                              f"file has {len(blob)}")
         p.data = np.frombuffer(blob[lo:end], dtype="<f8").reshape(p.shape).astype(np.float64)
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"{params_path}: parameter {name!r} holds a non-finite weight")
     if len(blob) > end:
         raise ValueError(f"{params_path}: {len(blob) - end} bytes after the last "
                          f"parameter {name!r}")
