@@ -123,8 +123,6 @@ def _validate_scenario(s: Scenario, where: str) -> None:
     t_f = s.agents[0].future.shape[0]
     if t_h < 2:
         raise ScenarioFormatError(f"{where}: history length {t_h} < 2")
-    if t_f < 1:
-        raise ScenarioFormatError(f"{where}: future length {t_f} < 1")
     for name, t_len in (("history", t_h), ("future", t_f)):
         for i, a in enumerate(s.agents):
             if getattr(a, name).shape != (t_len, 3):
@@ -351,79 +349,66 @@ class GenConfig:
             raise ConfigError("maneuver_mix: must not be all zero")
 
 
-def _maneuver_positions(kind: str, n_steps: int, dt: float, speed: float,
-                        pose: tuple[float, float, float], params: dict) -> np.ndarray:
-    """Positions at steps 1..n_steps continuing a maneuver from (x, y, heading)."""
+LANE_CHANGE_RATE = 1.5      # 1/s, slope of a lane change's lateral sigmoid
+
+
+def _maneuver_positions(kind: str, ts: np.ndarray, speed: float, pose: tuple, turn_rate: float,
+                        lane_offset: float, sigmoid: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """x and y at the times `ts` continuing a maneuver from pose (x, y, heading). `sigmoid`
+    is a lane change's 1 + exp(-rate (t - mid)) at `ts` and at t = 0, fixed by the config."""
     x0, y0, th = pose
-    ts = np.arange(1, n_steps + 1, dtype=np.float64) * dt
     if kind == "constant_velocity":
-        xs = x0 + speed * ts * math.cos(th)
-        ys = y0 + speed * ts * math.sin(th)
-    elif kind == "constant_turn":
-        w = params["turn_rate"]
+        return x0 + speed * ts * math.cos(th), y0 + speed * ts * math.sin(th)
+    if kind == "constant_turn":
         # exact circle of radius v/w around the center left/right of the pose
-        r = speed / w
-        cx = x0 - r * math.sin(th)
-        cy = y0 + r * math.cos(th)
-        ang = th - math.pi / 2.0 + w * ts
-        xs = cx + r * np.cos(ang)
-        ys = cy + r * np.sin(ang)
-    elif kind == "lane_change":
-        # longitudinal constant speed plus a sigmoidal lateral offset
-        off = params["lane_offset"]
-        mid = params["mid_time"]
-        rate = params["rate"]
-        lon = speed * ts
-        lat = off / (1.0 + np.exp(-rate * (ts - mid)))
-        lat0 = off / (1.0 + np.exp(-rate * (0.0 - mid)))
-        lat = lat - lat0
-        xs = x0 + lon * math.cos(th) - lat * np.sin(th)
-        ys = y0 + lon * math.sin(th) + lat * np.cos(th)
-    else:
-        raise ValueError(f"unknown maneuver {kind!r}")
-    return np.stack([xs, ys], axis=1)
+        r = speed / turn_rate
+        ang = th - math.pi / 2.0 + turn_rate * ts
+        return ((x0 - r * math.sin(th)) + r * np.cos(ang),
+                (y0 + r * math.cos(th)) + r * np.sin(ang))
+    # lane change: longitudinal constant speed plus a sigmoidal lateral offset
+    lon = speed * ts
+    lat = lane_offset / sigmoid[0] - lane_offset / sigmoid[1]
+    return (x0 + lon * math.cos(th) - lat * np.sin(th),
+            y0 + lon * math.sin(th) + lat * np.cos(th))
 
 
 def generate_synthetic(config: GenConfig, seed: int) -> list[Scenario]:
-    """Deterministic mixed-maneuver scenarios; futures continue the history motion."""
+    """Deterministic mixed-maneuver scenarios; futures continue the history motion.
+
+    Each random decision is one generator call that draws what `Generator.choice`
+    would: the maneuver is `choice(3, p=mix)`, one `random()` searched in the
+    cumulative mix, and each sign is `choice([-1.0, 1.0])`, one `integers(2)`.
+    """
     config.validate()
     rng = np.random.default_rng(seed)
     mix = np.asarray(config.maneuver_mix, dtype=np.float64)
-    mix = mix / mix.sum()
+    cdf = np.cumsum(mix / mix.sum())
+    cdf /= cdf[-1]
+    n_steps = config.t_history + config.t_future
+    ts = np.arange(1, n_steps, dtype=np.float64) * config.dt
+    mid = config.t_history * config.dt * 0.75
+    sigmoid = (1.0 + np.exp(-LANE_CHANGE_RATE * (ts - mid)),
+               1.0 + np.exp(-LANE_CHANGE_RATE * (0.0 - mid)))
 
     scenarios = []
     for si in range(config.num_scenarios):
         agents = []
         for _ in range(config.num_agents):
-            kind = MANEUVERS[int(rng.choice(3, p=mix))]
-            speed = float(rng.uniform(*config.speed_range))
-            th = float(rng.uniform(-math.pi, math.pi))
-            x0 = float(rng.uniform(-config.spawn_radius, config.spawn_radius))
-            y0 = float(rng.uniform(-config.spawn_radius, config.spawn_radius))
-            params = {
-                "turn_rate": float(rng.uniform(*config.turn_rate_range)
-                                   * rng.choice([-1.0, 1.0])),
-                "lane_offset": float(rng.uniform(*config.lane_offset_range)
-                                     * rng.choice([-1.0, 1.0])),
-                "mid_time": float(config.t_history * config.dt * 0.75),
-                "rate": 1.5,
-            }
-
-            n_total = config.t_history - 1 + config.t_future
-            path = _maneuver_positions(kind, n_total, config.dt, speed,
-                                       (x0, y0, th), params)
-            xy = np.vstack([[x0, y0], path])                     # [T_h + T_f, 2]
+            kind = MANEUVERS[int(cdf.searchsorted(rng.random(), side="right"))]
+            speed = rng.uniform(*config.speed_range)
+            th = rng.uniform(-math.pi, math.pi)
+            x0 = rng.uniform(-config.spawn_radius, config.spawn_radius)
+            y0 = rng.uniform(-config.spawn_radius, config.spawn_radius)
+            turn_rate = rng.uniform(*config.turn_rate_range) * (-1.0, 1.0)[rng.integers(2)]
+            lane_offset = rng.uniform(*config.lane_offset_range) * (-1.0, 1.0)[rng.integers(2)]
+            track = np.ones((n_steps, 3))                        # rows of (x, y, valid)
+            track[0, :2] = x0, y0
+            track[1:, 0], track[1:, 1] = _maneuver_positions(
+                kind, ts, speed, (x0, y0, th), turn_rate, lane_offset, sigmoid)
             if config.noise_std > 0.0:
-                xy = xy + rng.normal(scale=config.noise_std, size=xy.shape)
-
-            track = np.concatenate([xy, np.ones((xy.shape[0], 1))], axis=1)
+                track[:, :2] += rng.normal(scale=config.noise_std, size=(n_steps, 2))
             agents.append(AgentTrack(history=track[: config.t_history],
                                      future=track[config.t_history:]))
-
-        scenarios.append(Scenario(
-            scenario_id=f"synthetic-{seed}-{si}",
-            dt=config.dt,
-            agents=agents,
-            targets=list(range(config.num_targets)),
-        ))
+        scenarios.append(Scenario(scenario_id=f"synthetic-{seed}-{si}", dt=config.dt,
+                                  agents=agents, targets=list(range(config.num_targets))))
     return scenarios

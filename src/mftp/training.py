@@ -43,12 +43,16 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
+        """One update of every parameter that has a gradient; a non-finite gradient
+        raises before any weight or moment moves."""
+        live = [(k, p) for k, p in self.params.items() if p.grad is not None]
+        if live and not np.isfinite(np.concatenate([p.grad.ravel() for _, p in live])).all():
+            bad = next(k for k, p in live if not np.isfinite(p.grad).all())
+            raise ValueError(f"non-finite gradient of {bad}")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for k, p in self.params.items():
-            if p.grad is None:
-                continue
+        for k, p in live:
             m = self.m[k]
             v = self.v[k]
             m *= ADAM_BETA1

@@ -313,6 +313,25 @@ def test_load_rejects_bad_record_structure(tmp_path, case):
     assert str(err.value).startswith(f"{path}: scenario 0")
 
 
+def test_target_without_two_consecutive_valid_states_gets_a_pure_translation():
+    rng = np.random.default_rng(4)
+    target = rng.normal(size=(5, 3))
+    target[:, 2] = [1.0, 0.0, 1.0, 0.0, 1.0]           # no two valid states in a row
+    other = np.concatenate([rng.normal(size=(5, 2)), np.ones((5, 1))], axis=1)
+    future = np.concatenate([rng.normal(size=(3, 2)), np.ones((3, 1))], axis=1)
+    s = Scenario(scenario_id="s", dt=0.5, targets=[0],
+                 agents=[AgentTrack(history=target, future=future),
+                         AgentTrack(history=other, future=future.copy())])
+    frame = normalize(s).frames[0]
+    assert frame.heading == 0.0
+    origin = target[-1, :2]
+    for local, track in ((frame.history, np.stack([target, other])),
+                         (frame.future, np.stack([future, future]))):
+        valid = track[..., 2] == 1.0
+        assert np.array_equal(local[valid, :2], (track[..., :2] - origin)[valid])
+        assert not local[~valid, :2].any()
+
+
 def _reference_normalize_frame(s, t):
     """Per-track loop: the target's frame built one agent and one track at a time."""
     origin = s.agents[t].history[-1, :2].copy()

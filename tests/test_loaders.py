@@ -1,6 +1,7 @@
 """Refusals of the file loaders, the encoding every file is read and written
 in, and the checks that sit behind them (padded futures, Adam's skipped
-parameters, GenConfig's cross-field rules)."""
+parameters and non-finite gradients, GenConfig's cross-field rules, a run
+with no targets)."""
 
 import json
 import os
@@ -102,6 +103,8 @@ SCENARIO_REFUSALS = {
                     r"agent 1: history rows must be \[x, y, valid\]"),
     "rows-flat": (_set_agent(future=[0.0] * 6),
                   r"agent 1: future rows must be \[x, y, valid\]"),
+    "future-empty": (_set_agent(future=[]),
+                     r"agent 1: future rows must be \[x, y, valid\]"),
 }
 
 
@@ -289,6 +292,45 @@ def test_adam_leaves_a_parameter_without_gradient_alone():
     assert np.array_equal(idle.data, [3.0, 4.0])
     assert not opt.m["idle"].any() and not opt.v["idle"].any()
     assert opt.m["used"].all() and not np.array_equal(used.data, [1.0, -2.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_adam_refuses_a_non_finite_gradient_before_any_weight_moves(bad):
+    params = {name: Tensor(np.array([1.0, -2.0]), requires_grad=True) for name in "abc"}
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = np.array([0.5, -0.25])
+    opt.step()
+    before = {k: (p.data.copy(), opt.m[k].copy(), opt.v[k].copy()) for k, p in params.items()}
+    params["b"].grad = np.array([0.5, bad])
+    params["c"].grad = np.array([bad, 0.0])
+    with pytest.raises(ValueError, match="^non-finite gradient of b$"):
+        opt.step()
+    assert opt.t == 1
+    for k, p in params.items():
+        for got, want in zip((p.data, opt.m[k], opt.v[k]), before[k]):
+            assert np.array_equal(got, want)
+
+
+def test_train_refuses_a_scenario_file_without_targets(tmp_path, capsys):
+    scenes = _scenes()
+    for s in scenes:
+        s.targets = []
+    scn_path = str(tmp_path / "scenarios.json")
+    save_scenarios(scn_path, scenes)
+    cfg_path = str(tmp_path / "config.json")
+    save_config(cfg_path, _tiny_config(scenario_path=scn_path, synthetic=None))
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert "no training targets" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_config_with_neither_scenario_file_nor_generator(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"data": {"synthetic": None}}))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert ("data: either scenario_path or synthetic must be set"
+            in capsys.readouterr().err)
 
 
 # -- encoding ------------------------------------------------------------------
