@@ -43,10 +43,9 @@ relu of the pair pre-activation, the blend and the residual add run in
 place, so it allocates less than the composed ops did, and the backward
 masks on hidden > 0, which is the pre-activation's relu mask. Both matter
 on predict-crowd, where throughput follows how often the heap is trimmed
-and faulted in again within a scene: a fused forward that freed its
-intermediates as it went took about 3970 minor page faults per scene
-(seed 901), against about 200-700 for the composed tape and 85-390 for
-this one (seeds 1401-1404; getrusage inside the benchmark process, 2 vCPUs).
+and faulted in again within a scene: a forward that frees its
+intermediates as it goes re-faults heap pages per scene (ROADMAP's
+allocation finding has the measurements).
 """
 
 from __future__ import annotations

@@ -86,8 +86,6 @@ class TargetFrame:
 
 @dataclass
 class NormalizedScenario:
-    scenario_id: str
-    dt: float
     frames: list[TargetFrame]
 
 
@@ -269,7 +267,7 @@ def normalize(s: Scenario) -> NormalizedScenario:
                           history=hist_local[b], future=fut_local[b],
                           agent_valid=agent_valid.copy())
               for b, t in enumerate(s.targets)]
-    return NormalizedScenario(scenario_id=s.scenario_id, dt=s.dt, frames=frames)
+    return NormalizedScenario(frames=frames)
 
 
 # -- config field rules -------------------------------------------------------------

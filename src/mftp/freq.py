@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,8 +128,8 @@ class FreqMoEParams(Module):
     n_experts: int
     gate_w: Tensor                      # [F, N_e]
     gate_b: Tensor                      # [N_e]
-    masks: list[ExpertMask] = field(default_factory=list)
-    bin_owner: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    masks: list[ExpertMask]
+    bin_owner: np.ndarray
 
     @property
     def n_bins(self) -> int:

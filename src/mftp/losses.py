@@ -94,7 +94,7 @@ def _winners(pred: PredictionSet, gt) -> tuple[Tensor, int | np.ndarray, Tensor]
     gt = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
     trajs = pred.trajs
     if trajs.ndim < 3 or trajs.shape[:-3] + trajs.shape[-2:] != gt.shape:
-        raise ValueError(f"regression_loss: prediction {trajs.shape} does not "
+        raise ValueError(f"winner-take-all loss: prediction {trajs.shape} does not "
                          f"match ground truth {gt.shape}")
     dists = np.linalg.norm(trajs.data - gt[..., None, :, :], axis=-1).mean(axis=-1)
     best = np.argmin(dists, axis=-1)        # first minimum: ties go to the lowest index

@@ -113,10 +113,6 @@ def b_min_fde(pred: PredictionSet, gt: np.ndarray) -> float:
 
 
 def _aggregate(rows: list[TargetMetrics], k: int, threshold: float) -> MetricReport:
-    if not rows:
-        return MetricReport(k=k, miss_threshold=threshold, min_ade_k=0.0,
-                            min_fde_k=0.0, miss_rate=0.0, b_min_fde=0.0,
-                            n_targets=0, per_target=[])
     return MetricReport(
         k=k,
         miss_threshold=threshold,
@@ -164,22 +160,24 @@ def score_target(pred: PredictionSet, gt: np.ndarray, k: int, threshold: float,
     )
 
 
-def _check_scoring_args(k: int, threshold: float) -> None:
+def _check_scoring_args(scenarios: list[Scenario], k: int, threshold: float) -> None:
     if k < 1:
         raise ValueError(f"k={k}: the number of scored modes must be >= 1")
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"miss threshold={threshold}: must be finite and > 0")
+    if not any(s.targets for s in scenarios):
+        raise ValueError("no targets to score")
+    check_target_futures(scenarios)
 
 
 def evaluate_model(model, scenarios: list[Scenario], k: int,
                    threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
     """`evaluate_predictions` on the model's own global-frame `predict_scenario` outputs.
 
-    A bad `k` or threshold, or a target with a padded future step, is
-    rejected before any scene is predicted.
+    A bad `k` or threshold, a scenario list without targets, or a target
+    with a padded future step is rejected before any scene is predicted.
     """
-    _check_scoring_args(k, threshold)
-    check_target_futures(scenarios)
+    _check_scoring_args(scenarios, k, threshold)
     predictions = {(s.scenario_id, target): pred
                    for s in scenarios for target, pred in model.predict_scenario(s)}
     return evaluate_predictions(predictions, scenarios, k, threshold)
@@ -190,14 +188,14 @@ def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
                          threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
     """Score predictions keyed by (scenario id, target).
 
-    A repeated id, `k < 1`, a miss threshold that is not finite and > 0, or
-    a target whose future has a padded step (`valid = 0`) raises ValueError
-    before anything is scored. A prediction whose `scenario_sha256` is not
-    that of the scenario now under its id raises ValueError too; a scene is
-    hashed only when one of its predictions carries a digest.
+    A repeated id, `k < 1`, a miss threshold that is not finite and > 0, no
+    target in any scenario, or a target whose future has a padded step
+    (`valid = 0`) raises ValueError before anything is scored. A prediction
+    whose `scenario_sha256` is not that of the scenario now under its id
+    raises ValueError too; a scene is hashed only when one of its
+    predictions carries a digest.
     """
-    _check_scoring_args(k, threshold)
-    check_target_futures(scenarios)
+    _check_scoring_args(scenarios, k, threshold)
     rows = []
     seen = set()
     for s in scenarios:

@@ -13,18 +13,17 @@ the tape once in reverse topological order, accumulates gradients into every
 ops would record several. Complex quantities (frequency spectra) are carried
 as a `ComplexTensor` pair of real tensors so the tape itself stays real-valued.
 
-Larger fusions, such as `attention.selective_attention` (one node where the
-ops it is made of recorded 32 or 33), run the ops' array math directly: the
-forward and VJP helpers of matmul, linear, softmax, sigmoid and layer norm
-(`_matmul_data`, `_softmax_vjp`, ...) are shared by the tape ops and the
-fused nodes, so each op's arithmetic is written once and a fused node keeps
-its ops' bits. Such a node computes all of its parents' gradients in one
-backward function, recorded by `_joint_node`: the function runs once, when
-`backward` asks for the first parent's share, and each parent's VJP hands
-out its own entry of the result, so `backward` stays the one place that
-routes gradients. The node's closure keeps the arrays its backward reads;
-`selective_attention` also holds the rest of what its forward allocates
-(see that module).
+Larger fusions, such as `attention.selective_attention`, run the ops' array
+math directly: the forward and VJP helpers of matmul, linear, softmax,
+sigmoid and layer norm (`_matmul_data`, `_softmax_vjp`, ...) are shared by
+the tape ops and the fused nodes, so each op's arithmetic is written once
+and a fused node keeps its ops' bits. Such a node computes all of its
+parents' gradients in one backward function, recorded by `_joint_node`: the
+function runs once, when `backward` asks for the first parent's share, and
+each parent's VJP hands out its own entry of the result, so `backward` stays
+the one place that routes gradients. The node's closure keeps the arrays its
+backward reads; `selective_attention` also holds the rest of what its
+forward allocates (see that module).
 
 Broadcasting follows numpy's trailing-dimension alignment. Anything fancier
 has to be an explicit reshape/broadcast_to at the call site. Shape errors come
@@ -237,22 +236,11 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return _node(-self.data, (self,), lambda g: -g)
 
-    def __radd__(self, other) -> "Tensor":
-        return Tensor(other) + self
-
     def __rsub__(self, other) -> "Tensor":
         return Tensor(other) - self
 
-    def __rmul__(self, other) -> "Tensor":
-        return Tensor(other) * self
-
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor(other) / self
-
-    # -- matrix product ----------------------------------------------------------
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
 
     # -- shape manipulation --------------------------------------------------------
 
@@ -268,10 +256,6 @@ class Tensor:
                      lambda g: g.reshape(in_shape))
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
         if sorted(axes) != list(range(self.ndim)):
             raise ValueError(f"transpose: axes {axes} are not a permutation for shape {self.shape}")
         inv = [0] * len(axes)
@@ -490,17 +474,16 @@ def _layer_norm_vjps(xhat: Array, std: Array, gain: Array,
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along an existing axis; the exact inverse of slicing."""
-    ts = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    if not ts:
+    if not tensors:
         raise ValueError("concat: empty tensor list")
-    out_data = np.concatenate([t.data for t in ts], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
     idx = [slice(None)] * out_data.ndim
     vjps = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         idx[axis] = slice(int(lo), int(hi))
         vjps.append(lambda g, key=tuple(idx): g[key])
-    return _node(out_data, tuple(ts), *vjps)
+    return _node(out_data, tuple(tensors), *vjps)
 
 
 def windows(x: Tensor, starts: Sequence[int], size: int) -> Tensor:

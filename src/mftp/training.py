@@ -1,13 +1,15 @@
 """Adam training loop, loss bookkeeping, and checkpoint serialization.
 
 Checkpoints are a directory holding `manifest.json` (format tag, dtype,
-step, config snapshot, and a name/shape/offset table) plus `params.bin`
-with the raw little-endian float64 parameter buffers, so a reload
-reproduces forward outputs bit for bit on the same platform.
+step, config snapshot, a name/shape/offset table and the sha256 of
+`params.bin`) plus `params.bin` with the raw little-endian float64
+parameter buffers, so a reload reproduces forward outputs bit for bit on
+the same platform.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -185,16 +187,18 @@ def save_checkpoint(out_dir: str, model: TrajectoryPredictor, config: Config,
                     step: int) -> str:
     os.makedirs(out_dir, exist_ok=True)
     params = model.parameters()
+    blob = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+                    for p in params.values())
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "dtype": "<f8",
         "step": step,
         "config": config.to_dict(),
         "params": _layout(params),
+        "params_sha256": hashlib.sha256(blob).hexdigest(),
     }
     with open(os.path.join(out_dir, PARAMS_NAME), "wb") as fh:
-        fh.write(b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-                          for p in params.values()))
+        fh.write(blob)
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
     return out_dir
@@ -202,7 +206,8 @@ def save_checkpoint(out_dir: str, model: TrajectoryPredictor, config: Config,
 
 def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     """Rebuild the model a checkpoint holds; the manifest's parameter table must
-    be the model's own (`_layout`) and every weight finite."""
+    be the model's own (`_layout`), every weight finite and `params.bin`'s
+    sha256 the manifest's `params_sha256`."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
@@ -211,7 +216,8 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{manifest_path}: unknown checkpoint format "
                          f"{manifest.get('format')!r}")
-    absent = [key for key in ("params", "config", "step") if key not in manifest]
+    absent = [key for key in ("params", "config", "step", "params_sha256")
+              if key not in manifest]
     if absent:
         raise ValueError(f"{manifest_path}: missing manifest keys {absent}")
     if manifest.get("dtype") != "<f8":
@@ -263,4 +269,8 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     if len(blob) > end:
         raise ValueError(f"{params_path}: {len(blob) - end} bytes after the last "
                          f"parameter {name!r}")
+    digest = hashlib.sha256(blob).hexdigest()
+    if digest != manifest["params_sha256"]:
+        raise ValueError(f"{params_path}: sha256 {digest} is not the manifest's "
+                         f"params_sha256 {manifest['params_sha256']!r}")
     return model, config, manifest["step"]

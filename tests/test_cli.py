@@ -641,3 +641,20 @@ def test_prediction_file_rejects_digest_that_is_not_a_string(tmp_path, digest):
         return
     with pytest.raises(ValueError, match="record 0 scenario_sha256 .* is not a string"):
         load_predictions(_write_doc(tmp_path, [rec]))
+
+
+@pytest.mark.parametrize("source", ["--predictions", "--checkpoint"])
+def test_eval_refuses_a_scenario_file_without_targets(tiny_setup, capsys, source):
+    cfg, _, _, tmp_path = tiny_setup
+    scenarios = generate_synthetic(cfg.data.synthetic, seed=0)
+    for s in scenarios:
+        s.targets = []
+    empty_path = str(tmp_path / "no_targets.json")
+    save_scenarios(empty_path, scenarios)
+    paths = {"--predictions": str(tmp_path / "pred.json"), "--checkpoint": str(tmp_path / "ckpt")}
+    write_predictions(paths["--predictions"], [])
+    save_checkpoint(paths["--checkpoint"], TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    assert main(["eval", source, paths[source], "--scenarios", empty_path, "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: no targets to score" in captured.err
+    assert "min_fde" not in captured.out

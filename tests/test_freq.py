@@ -294,3 +294,9 @@ def test_gate_is_bitwise_a_matmul_plus_bias(n_experts):
 
     for got, want in zip(run(gate), run(reference)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_moe_filter_rejects_a_sequence_longer_than_configured():
+    params = FreqMoEParams.create(t_len=8, n_experts=2)
+    with pytest.raises(ValueError, match=r"^moe_filter: length 9 exceeds configured 8$"):
+        moe_filter(Tensor(np.zeros((1, 9, 2))), params)

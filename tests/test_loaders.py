@@ -201,6 +201,7 @@ def _rename_entry(m):
     (_extra_entry, r"parameter entry \d+ is 'extra\.w', where the model has nothing"),
     (_rename_entry, r"parameter entry 5 is 'no\.such\.w', where the model has '.+'"),
     (_swap_entries, r"parameter entry 3 is '.+', where the model has '.+'"),
+    (lambda m: m.pop("params_sha256"), r"missing manifest keys \['params_sha256'\]"),
 ])
 def test_checkpoint_manifest_refusals_name_the_manifest(ckpt, edit, match):
     _edit_manifest(ckpt, edit)
@@ -239,6 +240,19 @@ def test_predict_refuses_a_non_finite_weight(ckpt, tmp_path, capsys, value):
                  "--out", str(out)]) == 2
     assert (f"{ckpt / 'params.bin'}: parameter {name!r} holds a non-finite weight"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_predict_refuses_a_weight_changed_in_its_lowest_bit(ckpt, tmp_path, capsys):
+    scn_path = str(tmp_path / "scenarios.json")
+    save_scenarios(scn_path, _scenes())
+    blob = bytearray((ckpt / "params.bin").read_bytes())
+    blob[8] ^= 1                # little-endian: the lowest mantissa bit of the second weight
+    (ckpt / "params.bin").write_bytes(bytes(blob))
+    out = tmp_path / "p.json"
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(out)]) == 2
+    assert f"{ckpt / 'params.bin'}: sha256 " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -286,3 +286,12 @@ def test_gradient_of_batched_total_loss_matches_finite_differences():
 
     assert grad_check(lambda t: loss(t, Tensor(probs0)), Tensor(x0)) <= 1e-4
     assert grad_check(lambda p: loss(Tensor(x0), p), Tensor(probs0)) <= 1e-4
+
+
+@pytest.mark.parametrize("loss", [regression_loss, lambda pred, gt: target_loss(pred, gt, 4)],
+                         ids=["regression_loss", "target_loss"])
+def test_winner_take_all_losses_refuse_a_ground_truth_of_another_shape(loss):
+    pred = _pred([_wavy(), _wavy(seed=1)])
+    with pytest.raises(ValueError, match=r"^winner-take-all loss: prediction \(2, 8, 2\) does "
+                                         r"not match ground truth \(6, 2\)$"):
+        loss(pred, _wavy(t_f=6))

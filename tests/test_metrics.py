@@ -220,3 +220,8 @@ def test_padded_ground_truth_step_raises_in_both_evaluators_before_predicting(fi
     model.predict_scenario = no_predictions
     with pytest.raises(ValueError, match=match):
         evaluate_model(model, scenes, k=1)
+
+
+def test_min_ade_refuses_a_ground_truth_of_another_shape():
+    with pytest.raises(ValueError, match=r"^min_ade: shapes \(4, 2\) vs \(3, 2\)$"):
+        min_ade(_pred(np.zeros((2, 4, 2))), np.zeros((3, 2)))

@@ -238,3 +238,17 @@ def test_parameter_layout_is_the_v1_checkpoint_layout():
     layout = json.dumps([[name, list(p.shape)] for name, p in params.items()])
     assert hashlib.sha256(layout.encode()).hexdigest() == (
         "803ecf9937d1a629042d50965005e25a84e78e13bba65a2a32dbc2fa9f5031c9")
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda frames: frames.clear(), r"^pack_frames: empty frame list$"),
+    (lambda frames: setattr(frames[1], "history", frames[1].history[:, :6]),
+     r"^pack_frames: frame history length 6 != 8$"),
+], ids=["empty", "short-history"])
+def test_pack_frames_refusals(edit, match):
+    scenarios = generate_synthetic(GenConfig(num_scenarios=2, num_agents=2,
+                                             t_history=8, t_future=4), seed=0)
+    frames = [normalize(s).frames[0] for s in scenarios]
+    edit(frames)
+    with pytest.raises(ValueError, match=match):
+        pack_frames(frames, 8)

@@ -53,6 +53,11 @@ def test_patchify_rejects_oversized_window():
         patchify(Tensor(np.zeros((1, 4, 2))), window=5, stride=1)
 
 
+def test_patchify_rejects_a_stride_below_one():
+    with pytest.raises(ValueError, match=r"^patchify: stride must be >= 1, got 0$"):
+        patchify(Tensor(np.zeros((1, 4, 2))), window=2, stride=0)
+
+
 @pytest.mark.parametrize("t_len,window,stride", [(8, 2, 1), (8, 4, 2), (8, 8, 8),
                                                  (20, 5, 2), (16, 3, 3)])
 def test_coverage_accounting(t_len, window, stride):

@@ -520,3 +520,36 @@ def test_joint_node_runs_its_backward_once_and_hands_each_parent_its_share():
     assert np.array_equal(b.grad, np.array([2.0, 3.0]) * a.data)
     assert c.grad is None
     assert out._parents == () and out._vjps == ()     # freed with the rest of the tape
+
+
+def test_backward_of_a_scalar_that_needs_no_gradient_is_a_no_op():
+    x = Tensor([1.0, 2.0])
+    loss = (x * x).sum()
+    loss.backward()
+    assert loss.grad is None and x.grad is None
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Tensor([1.0, 2.0]).item(), r"^item\(\) requires a scalar tensor, got shape \(2,\)$"),
+    (lambda: Tensor(np.ones((2, 3))).reshape(4, 2),
+     r"^reshape: cannot view shape \(2, 3\) as \(4, 2\)$"),
+    (lambda: Tensor(np.ones((2, 3))).transpose(0, 0),
+     r"^transpose: axes \(0, 0\) are not a permutation for shape \(2, 3\)$"),
+    (lambda: Tensor(np.ones((2, 3))).transpose((1, 0)),
+     r"^transpose: axes \(\(1, 0\),\) are not a permutation for shape \(2, 3\)$"),
+    (lambda: Tensor(np.ones((2, 3))).transpose(),
+     r"^transpose: axes \(\) are not a permutation for shape \(2, 3\)$"),
+    (lambda: matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2)))),
+     r"^matmul: operands must have ndim >= 2, got \(3,\) and \(3, 2\)$"),
+    (lambda: concat([]), r"^concat: empty tensor list$"),
+    (lambda: broadcast_to(Tensor(np.ones((2, 3))), (3, 3)),
+     r"^broadcast_to: cannot expand shape \(2, 3\) to \(3, 3\)$"),
+    (lambda: grad_check_param(lambda: Tensor(1.0), Tensor([1.0])),
+     r"^grad_check_param: parameter does not require grad$"),
+    (lambda: (lambda p: grad_check_param(lambda: p * 2.0, p))(Tensor([1.0, 2.0], requires_grad=True)),
+     r"^grad_check_param: loss must be scalar, got \(2,\)$"),
+], ids=["item", "reshape", "transpose", "transpose-tuple", "transpose-empty", "matmul-ndim",
+        "concat-empty", "broadcast_to", "grad_check_param-no-grad", "grad_check_param-vector-loss"])
+def test_refusals_name_the_op_and_the_shapes(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
