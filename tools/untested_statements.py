@@ -15,7 +15,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 import types
 
 import pytest
@@ -60,14 +59,12 @@ def main(argv: list[str]) -> int:
         return trace_line
 
     sys.path.insert(0, os.path.dirname(PACKAGE))
-    threading.settrace(trace_call)
     sys.settrace(trace_call)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests"),
                               *(argv or ["--hypothesis-seed=0"])])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     if status != 0:
         print(f"pytest failed (exit {int(status)})")
         return 1
