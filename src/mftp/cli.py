@@ -9,14 +9,13 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .config import Config, load_config
-from .data import load_scenarios, scenario_sha256
+from .data import load_scenarios
 from .metrics import DEFAULT_MISS_THRESHOLD, evaluate_model, evaluate_predictions
 from .prediction_io import load_predictions, write_predictions
-from .training import check_horizons, load_checkpoint, train
+from .training import load_checkpoint, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,15 +61,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, config, _ = load_checkpoint(args.checkpoint)
-    scenarios = load_scenarios(args.scenarios)
-    check_horizons(scenarios, config)
-    records = []
-    for s in scenarios:
-        digest = scenario_sha256(s)
-        for target, pred in model.predict_scenario(s):
-            records.append((s.scenario_id, target,
-                            dataclasses.replace(pred, scenario_sha256=digest)))
+    model, _, _ = load_checkpoint(args.checkpoint)
+    records = model.predict_scenarios(load_scenarios(args.scenarios))
     write_predictions(args.out, records)
     print(f"wrote {len(records)} prediction records to {args.out}")
     return 0
@@ -79,17 +71,11 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     if args.predictions:
-        preds = load_predictions(args.predictions)
-        report = evaluate_predictions(preds, scenarios, k=args.k,
-                                      threshold=args.miss_threshold)
+        report = evaluate_predictions(load_predictions(args.predictions), scenarios,
+                                      k=args.k, threshold=args.miss_threshold)
     else:
-        model, config, _ = load_checkpoint(args.checkpoint)
-        check_horizons(scenarios, config)
-        if args.k > config.model.n_modes:
-            raise ValueError(f"k={args.k} exceeds the model's "
-                             f"{config.model.n_modes} modes")
-        report = evaluate_model(model, scenarios, k=args.k,
-                                threshold=args.miss_threshold)
+        report = evaluate_model(load_checkpoint(args.checkpoint)[0], scenarios,
+                                k=args.k, threshold=args.miss_threshold)
     print(report.to_text())
     if args.per_target_csv:
         with open(args.per_target_csv, "w", encoding="utf-8") as fh:

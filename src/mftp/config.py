@@ -115,25 +115,32 @@ class Config:
 
     @staticmethod
     def from_dict(d: dict) -> "Config":
+        """The config a `to_dict` document describes, not yet validated; a
+        section that is not an object or an unknown key raises ConfigError."""
         _object(d, "config")
-        model = ModelConfig(**_object(d.get("model", {}), "model"))
-        training = TrainingConfig(**_object(d.get("training", {}), "training"))
-        data_d = dict(_object(d.get("data", {}), "data"))
-        syn = data_d.get("synthetic")
-        if syn is not None:                     # GenConfig's list-like fields are tuples
-            syn = _object(syn, "data.synthetic")
-            data_d["synthetic"] = GenConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                               for k, v in syn.items()})
-        data = DataConfig(**data_d)
+        try:
+            model = ModelConfig(**_object(d.get("model", {}), "model"))
+            training = TrainingConfig(**_object(d.get("training", {}), "training"))
+            data_d = dict(_object(d.get("data", {}), "data"))
+            syn = data_d.get("synthetic")
+            if syn is not None:                 # GenConfig's list-like fields are tuples
+                syn = _object(syn, "data.synthetic")
+                data_d["synthetic"] = GenConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                                   for k, v in syn.items()})
+            data = DataConfig(**data_d)
+        except TypeError as exc:
+            raise ConfigError(f"unknown or missing config key ({exc})") from None
         return Config(model=model, training=training, data=data)
 
 
 def load_config(path: str) -> Config:
+    """The validated config of a JSON file; every refusal names the file."""
+    doc = read_json(path, ConfigError)          # names the file itself
     try:
-        cfg = Config.from_dict(read_json(path, ConfigError))
-    except TypeError as exc:
-        raise ConfigError(f"{path}: unknown or missing config key ({exc})") from None
-    cfg.validate()
+        cfg = Config.from_dict(doc)
+        cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 

@@ -168,18 +168,24 @@ def _check_scoring_args(scenarios: list[Scenario], k: int, threshold: float) -> 
     if not any(s.targets for s in scenarios):
         raise ValueError("no targets to score")
     check_target_futures(scenarios)
+    seen = set()
+    for s in scenarios:
+        if s.scenario_id in seen:
+            raise ValueError(f"scenario id {s.scenario_id!r} repeats")
+        seen.add(s.scenario_id)
 
 
 def evaluate_model(model, scenarios: list[Scenario], k: int,
                    threshold: float = DEFAULT_MISS_THRESHOLD) -> MetricReport:
-    """`evaluate_predictions` on the model's own global-frame `predict_scenario` outputs.
+    """`evaluate_predictions` on the model's own `predict_scenarios` records.
 
-    A bad `k` or threshold, a scenario list without targets, or a target
-    with a padded future step is rejected before any scene is predicted.
+    What `evaluate_predictions` refuses up front, a `k` above the model's modes
+    and other horizons are refused before any scene is predicted.
     """
     _check_scoring_args(scenarios, k, threshold)
-    predictions = {(s.scenario_id, target): pred
-                   for s in scenarios for target, pred in model.predict_scenario(s)}
+    if k > model.config.n_modes:
+        raise ValueError(f"k={k} exceeds the model's {model.config.n_modes} modes")
+    predictions = {(sid, t): p for sid, t, p in model.predict_scenarios(scenarios)}
     return evaluate_predictions(predictions, scenarios, k, threshold)
 
 
@@ -197,11 +203,7 @@ def evaluate_predictions(predictions: dict[tuple[str, int], PredictionSet],
     """
     _check_scoring_args(scenarios, k, threshold)
     rows = []
-    seen = set()
     for s in scenarios:
-        if s.scenario_id in seen:
-            raise ValueError(f"scenario id {s.scenario_id!r} repeats")
-        seen.add(s.scenario_id)
         digest = None
         for target in s.targets:
             key = (s.scenario_id, target)

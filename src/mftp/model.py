@@ -13,7 +13,7 @@ import numpy as np
 
 from .attention import AttentionBlockParams, ssam
 from .config import ModelConfig
-from .data import Scenario, TargetFrame, normalize
+from .data import Scenario, TargetFrame, normalize, scenario_sha256
 from .decoder import DecoderParams, PredictionSet, decode, denormalize
 from .freq import FreqMoEParams, moe_filter
 from .nn import LayerNorm, Mlp
@@ -107,6 +107,26 @@ class TrajectoryPredictor:
             local = PredictionSet(trajs=Tensor(trajs.data[i]), probs=Tensor(probs.data[i]))
             out.append((frame.target_index, denormalize(local, frame)))
         return out
+
+    def predict_scenarios(self, scenarios: list[Scenario]) -> list[tuple[str, int, PredictionSet]]:
+        """(scenario id, target, prediction) records, each prediction carrying its
+        scene's sha256; other horizons are refused before any scene is predicted."""
+        check_horizons(scenarios, self.config)
+        records = []
+        for s in scenarios:
+            digest = scenario_sha256(s)
+            records += [(s.scenario_id, target, PredictionSet(p.trajs, p.probs, digest))
+                        for target, p in self.predict_scenario(s)]
+        return records
+
+
+def check_horizons(scenarios: list[Scenario], config: ModelConfig) -> None:
+    """Reject, by scenario, horizons that differ from the model's."""
+    model = (config.t_history, config.t_future)
+    for s in scenarios:
+        if (s.t_history, s.t_future) != model:
+            raise ValueError(f"scenario {s.scenario_id}: horizons ({s.t_history}, "
+                             f"{s.t_future}) do not match the model {model}")
 
 
 def pack_frames(frames: list[TargetFrame],

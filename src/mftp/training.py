@@ -21,7 +21,7 @@ from .data import (Scenario, TargetFrame, check_target_futures, generate_synthet
                    load_scenarios, normalize, read_json)
 from .decoder import PredictionSet
 from .losses import LossReport, target_loss, total_loss
-from .model import TrajectoryPredictor
+from .model import TrajectoryPredictor, check_horizons
 from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "mftp-checkpoint-v1"
@@ -83,17 +83,8 @@ def load_training_scenarios(config: Config) -> list[Scenario]:
     if config.data.scenario_path is None:
         return generate_synthetic(config.data.synthetic, seed=config.training.seed)
     scenarios = load_scenarios(config.data.scenario_path)
-    check_horizons(scenarios, config)
+    check_horizons(scenarios, config.model)
     return scenarios
-
-
-def check_horizons(scenarios: list[Scenario], config: Config) -> None:
-    """Reject, by scenario, horizons that differ from the model's."""
-    model = (config.model.t_history, config.model.t_future)
-    for s in scenarios:
-        if (s.t_history, s.t_future) != model:
-            raise ValueError(f"scenario {s.scenario_id}: horizons ({s.t_history}, "
-                             f"{s.t_future}) do not match the model {model}")
 
 
 def build_training_items(scenarios: list[Scenario]) -> list[TrainingItem]:
@@ -236,11 +227,13 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     try:
         config = Config.from_dict(manifest["config"])
         config.validate()
-    except TypeError as exc:
-        raise ValueError(f"{manifest_path}: unknown or missing config key ({exc})") from None
     except ConfigError as exc:
         raise ValueError(f"{manifest_path}: config {exc}") from None
-    model = TrajectoryPredictor(config.model, seed=config.training.seed)
+    try:
+        model = TrajectoryPredictor(config.model, seed=config.training.seed)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"{manifest_path}: the stored config describes a model that "
+                         f"cannot be built ({type(exc).__name__}: {exc})") from None
     params = model.parameters()
     layout = _layout(params)
     names = [entry["name"] for entry in manifest["params"]]

@@ -658,3 +658,37 @@ def test_eval_refuses_a_scenario_file_without_targets(tiny_setup, capsys, source
     captured = capsys.readouterr()
     assert "error: no targets to score" in captured.err
     assert "min_fde" not in captured.out
+
+
+def test_predict_and_eval_name_the_manifest_of_a_model_that_cannot_be_built(tiny_setup, capsys):
+    # 10**20 is refused by numpy before anything is allocated
+    cfg, _, scn_path, tmp_path = tiny_setup
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), TrajectoryPredictor(cfg.model, seed=0), cfg, step=0)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["model"]["channels"] = 10**20
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    want = (f"error: {ckpt / 'manifest.json'}: the stored config describes a model that "
+            f"cannot be built (ValueError: Maximum allowed dimension exceeded)")
+    assert main(["predict", "--checkpoint", str(ckpt), "--scenarios", scn_path,
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr().err.strip() == want
+    assert main(["eval", "--checkpoint", str(ckpt), "--scenarios", scn_path, "--k", "1"]) == 2
+    assert capsys.readouterr().err.strip() == want
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"model": {"channels": 0}}', "model.channels: 0 must be >= 1"),
+    ('{"model": {"channels": 30}}', "model.channels: 30 not divisible by n_heads=4"),
+    ('[]', "config: must be a JSON object, got list"),
+    ('{"model": {"banana": 1}}', "unknown or missing config key"),
+    ('{nope', "not valid JSON"),
+])
+def test_train_names_the_config_file_once_in_every_refusal(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count(str(bad)) == 1

@@ -225,3 +225,34 @@ def test_padded_ground_truth_step_raises_in_both_evaluators_before_predicting(fi
 def test_min_ade_refuses_a_ground_truth_of_another_shape():
     with pytest.raises(ValueError, match=r"^min_ade: shapes \(4, 2\) vs \(3, 2\)$"):
         min_ade(_pred(np.zeros((2, 4, 2))), np.zeros((3, 2)))
+
+
+def _refuse_to_predict(model):
+    def no_predictions(scenario):
+        raise AssertionError("predicted a scene before refusing the input")
+    model.predict_scenario = no_predictions
+
+
+def test_evaluate_model_refuses_k_above_the_models_modes_before_predicting():
+    model, scenes = _tiny_model_and_scenes()
+    _refuse_to_predict(model)
+    with pytest.raises(ValueError, match=r"^k=4 exceeds the model's 3 modes$"):
+        evaluate_model(model, scenes, k=4)
+
+
+def test_evaluate_model_refuses_other_horizons_naming_the_scene_before_predicting():
+    model, scenes = _tiny_model_and_scenes()
+    other = generate_synthetic(GenConfig(num_scenarios=1, num_agents=4, num_targets=2,
+                                         t_history=6, t_future=4), seed=9)[0]
+    _refuse_to_predict(model)
+    with pytest.raises(ValueError, match=rf"^scenario {other.scenario_id}: horizons \(6, 4\) "
+                                         rf"do not match the model \(8, 4\)$"):
+        evaluate_model(model, [*scenes, other], k=1)
+
+
+def test_evaluate_model_refuses_a_repeated_id_before_predicting():
+    model, scenes = _tiny_model_and_scenes()
+    twins = [*scenes, dataclasses.replace(scenes[2], scenario_id=scenes[0].scenario_id)]
+    _refuse_to_predict(model)
+    with pytest.raises(ValueError, match=f"^scenario id {scenes[0].scenario_id!r} repeats$"):
+        evaluate_model(model, twins, k=1)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mftp.config import Config, ModelConfig
-from mftp.data import GenConfig, generate_synthetic, normalize
+from mftp import model as model_module
+from mftp.data import GenConfig, generate_synthetic, normalize, scenario_sha256
 from mftp.model import TrajectoryPredictor, pack_frames
 from mftp.tensor import Tensor, grad_check_param, matmul
 
@@ -143,6 +144,37 @@ def test_predict_scenario_no_targets_is_empty():
     s = scenarios[0]
     s.targets = []
     assert model.predict_scenario(s) == []
+
+
+def test_predict_scenarios_is_predict_scenario_per_scene_plus_its_digest(monkeypatch):
+    model = _tiny_model()
+    scenes = [generate_synthetic(GenConfig(num_scenarios=1, num_agents=n, num_targets=k,
+                                           t_history=8, t_future=4), seed=seed)[0]
+              for seed, (n, k) in enumerate([(2, 1), (5, 2), (3, 3), (4, 2)])]
+    scenes[3].targets = []
+    s = scenes[1]                         # masked states: one agent gone, two steps dropped
+    gone = next(i for i in range(s.num_agents) if i not in s.targets)
+    s.agents[gone].history[:] = 0.0
+    s.agents[gone].future[:] = 0.0
+    for agent in s.agents:
+        agent.history[[1, 4]] = 0.0
+    expected = [(s.scenario_id, target, pred, scenario_sha256(s))
+                for s in scenes for target, pred in model.predict_scenario(s)]
+
+    hashed = []
+
+    def counting_sha256(s):
+        hashed.append(s.scenario_id)
+        return scenario_sha256(s)
+    monkeypatch.setattr(model_module, "scenario_sha256", counting_sha256)
+    records = model.predict_scenarios(scenes)
+    assert hashed == [s.scenario_id for s in scenes]      # once per scene
+    assert len(records) == len(expected) == 6
+    for (sid, target, pred), (e_sid, e_target, e_pred, digest) in zip(records, expected):
+        assert (sid, target) == (e_sid, e_target)
+        assert pred.scenario_sha256 == digest
+        assert pred.trajs.data.tobytes() == e_pred.trajs.data.tobytes()
+        assert pred.probs.data.tobytes() == e_pred.probs.data.tobytes()
 
 
 def test_gradients_reach_every_parameter_group():

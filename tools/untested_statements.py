@@ -8,11 +8,16 @@ compiles to code. Each statement that never ran, other than those in
 ALLOWED, is printed as `path:line: source`. Exits 1 if pytest fails or any
 such statement is left, else 0. The pytest arguments default to
 `--hypothesis-seed=0`, so the property tests try the same inputs each run.
+
+The traced lines belong to the files as they were imported, so a src/mftp
+file whose sha256 changed during the run is printed and the run refused
+(exit 1) without listing any statement.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import os
 import sys
 import types
@@ -43,6 +48,20 @@ def statement_lines(path: str) -> set[int]:
             if isinstance(node, ast.stmt) and node.lineno in code_lines}
 
 
+def source_files() -> list[str]:
+    return [os.path.join(PACKAGE, name) for name in sorted(os.listdir(PACKAGE))
+            if name.endswith(".py")]
+
+
+def digests() -> dict[str, str]:
+    """sha256 of each src/mftp file, by path."""
+    out = {}
+    for path in source_files():
+        with open(path, "rb") as fh:
+            out[path] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
 def main(argv: list[str]) -> int:
     reached: dict[str, set[int]] = {}
 
@@ -59,21 +78,26 @@ def main(argv: list[str]) -> int:
         return trace_line
 
     sys.path.insert(0, os.path.dirname(PACKAGE))
+    before = digests()
     sys.settrace(trace_call)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests"),
                               *(argv or ["--hypothesis-seed=0"])])
     finally:
         sys.settrace(None)
+    after = digests()
+    changed = sorted(p for p in before.keys() | after.keys() if before.get(p) != after.get(p))
+    for path in changed:
+        print(f"{os.path.relpath(path, ROOT)}: changed during the run; run again")
+    if changed:
+        return 1
     if status != 0:
         print(f"pytest failed (exit {int(status)})")
         return 1
 
     missed, allowed, total = [], 0, 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
+    for path in source_files():
+        name = os.path.basename(path)
         with open(path, encoding="utf-8") as fh:
             source = fh.read().splitlines()
         lines = statement_lines(path)
