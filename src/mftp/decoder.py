@@ -20,6 +20,8 @@ from .data import TargetFrame
 from .nn import Linear, Module
 from .tensor import Tensor, cumsum, softmax
 
+PROB_SUM_TOL = 1e-6   # one target's probabilities must sum to 1 within this
+
 
 @dataclass
 class PredictionSet:
@@ -31,6 +33,29 @@ class PredictionSet:
     @property
     def num_modes(self) -> int:
         return self.trajs.shape[-3]
+
+
+def check_prediction(pred: PredictionSet, where: str) -> None:
+    """Raise ValueError, starting with `where` (the caller's prefix and separator),
+    unless `pred` is one target's [K, T, 2] trajectories, every value finite, with
+    one finite, non-negative probability per mode summing to 1 within PROB_SUM_TOL."""
+    trajs, probs = pred.trajs.data, pred.probs.data
+    if trajs.ndim != 3 or trajs.shape[-1] != 2:
+        raise ValueError(f"{where} trajectories must be [K, T, 2]")
+    if probs.shape != trajs.shape[:1]:
+        raise ValueError(f"{where} has {probs.size} probabilities for {trajs.shape[0]} modes")
+    bad = np.flatnonzero(~(np.isfinite(probs) & (probs >= 0.0)))
+    if bad.size:
+        raise ValueError(f"{where} mode {bad[0]} probability {float(probs[bad[0]])!r} "
+                         f"is not finite and non-negative")
+    if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"{where} probabilities sum to {float(probs.sum())!r}, not 1")
+    bad = np.argwhere(~np.isfinite(trajs))
+    if bad.size:
+        mode, step = int(bad[0][0]), int(bad[0][1])
+        endpoint = " (non-finite min_fde)" if step == trajs.shape[1] - 1 else ""
+        raise ValueError(f"{where} mode {mode} step {step} of the trajectory is "
+                         f"non-finite{endpoint}")
 
 
 @dataclass

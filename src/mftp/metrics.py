@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Scenario, check_target_futures, scenario_sha256
-from .decoder import PredictionSet
+from .decoder import PredictionSet, check_prediction
 from .tensor import Tensor
 
 DEFAULT_MISS_THRESHOLD = 2.0   # meters at the final timestep
@@ -125,30 +125,14 @@ def _aggregate(rows: list[TargetMetrics], k: int, threshold: float) -> MetricRep
     )
 
 
-def _check_prediction(pred: PredictionSet, gt: np.ndarray, scenario_id: str,
-                      target: int) -> None:
-    """Raise ValueError on a step count unlike gt's or the first non-finite value."""
-    trajs, probs = pred.trajs.data, pred.probs.data
-    where = f"scenario {scenario_id!r} target {target}"
-    if trajs.shape[1] != len(gt):
-        raise ValueError(f"{where}: trajectory has {trajs.shape[1]} steps, "
-                         f"ground truth has {len(gt)}")
-    bad = np.flatnonzero(~np.isfinite(probs))
-    if bad.size:
-        raise ValueError(f"{where}: mode {bad[0]} has non-finite probability "
-                         f"{float(probs[bad[0]])!r}")
-    bad = np.argwhere(~np.isfinite(trajs))
-    if bad.size:
-        mode, step = int(bad[0][0]), int(bad[0][1])
-        endpoint = " (non-finite min_fde)" if step == trajs.shape[1] - 1 else ""
-        raise ValueError(f"{where}: mode {mode} step {step} of the trajectory is "
-                         f"non-finite{endpoint}")
-
-
 def score_target(pred: PredictionSet, gt: np.ndarray, k: int, threshold: float,
                  scenario_id: str = "", target: int = 0) -> TargetMetrics:
     """Metrics of one target's top-k modes; malformed inputs raise ValueError."""
-    _check_prediction(pred, gt, scenario_id, target)
+    where = f"scenario {scenario_id!r} target {target}:"
+    if pred.trajs.shape[1] != len(gt):
+        raise ValueError(f"{where} trajectory has {pred.trajs.shape[1]} steps, "
+                         f"ground truth has {len(gt)}")
+    check_prediction(pred, where)
     sub = top_k_modes(pred, k)
     return TargetMetrics(
         scenario_id=scenario_id,
@@ -180,12 +164,14 @@ def evaluate_model(model, scenarios: list[Scenario], k: int,
     """`evaluate_predictions` on the model's own `predict_scenarios` records.
 
     What `evaluate_predictions` refuses up front, a `k` above the model's modes
-    and other horizons are refused before any scene is predicted.
+    and other horizons are refused before any scene is predicted. The records'
+    digests, just made from these very scenes, are dropped, not checked again.
     """
     _check_scoring_args(scenarios, k, threshold)
     if k > model.config.n_modes:
         raise ValueError(f"k={k} exceeds the model's {model.config.n_modes} modes")
-    predictions = {(sid, t): p for sid, t, p in model.predict_scenarios(scenarios)}
+    predictions = {(sid, t): PredictionSet(p.trajs, p.probs)
+                   for sid, t, p in model.predict_scenarios(scenarios)}
     return evaluate_predictions(predictions, scenarios, k, threshold)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .attention import AttentionBlockParams, ssam
 from .config import ModelConfig
 from .data import Scenario, TargetFrame, normalize, scenario_sha256
-from .decoder import DecoderParams, PredictionSet, decode, denormalize
+from .decoder import DecoderParams, PredictionSet, check_prediction, decode, denormalize
 from .freq import FreqMoEParams, moe_filter
 from .nn import LayerNorm, Mlp
 from .patching import FusionParams, GranularityEncoderParams, encode_granularity, fuse_granularities
@@ -109,14 +109,16 @@ class TrajectoryPredictor:
         return out
 
     def predict_scenarios(self, scenarios: list[Scenario]) -> list[tuple[str, int, PredictionSet]]:
-        """(scenario id, target, prediction) records, each prediction carrying its
-        scene's sha256; other horizons are refused before any scene is predicted."""
+        """(scenario id, target, prediction) records, each prediction checked by
+        `check_prediction` and carrying its scene's sha256; other horizons are
+        refused before any scene is predicted."""
         check_horizons(scenarios, self.config)
         records = []
         for s in scenarios:
             digest = scenario_sha256(s)
-            records += [(s.scenario_id, target, PredictionSet(p.trajs, p.probs, digest))
-                        for target, p in self.predict_scenario(s)]
+            for target, p in self.predict_scenario(s):
+                check_prediction(p, f"scenario {s.scenario_id!r} target {target}:")
+                records.append((s.scenario_id, target, PredictionSet(p.trajs, p.probs, digest)))
         return records
 
 

@@ -9,9 +9,9 @@ Trajectories are global-frame meters. `scenario_sha256`, optional, is the
 predict` writes it); scoring refuses a record whose scene now hashes
 differently. Loading rejects a file that is not valid UTF-8 JSON, a `predictions`
 value that is not a list, a record whose target is not an integer, a
-`scenario_sha256` that is not a string, a record whose probabilities are not
-one finite, non-negative value per mode summing to 1, and a record that
-repeats an earlier (scenario, target) pair.
+`scenario_sha256` that is not a string, a record that breaks the prediction
+contract (`decoder.check_prediction`, the owner of the shape, probability and
+finiteness rules), and a record that repeats an earlier (scenario, target) pair.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ import json
 import numpy as np
 
 from .data import read_json
-from .decoder import PredictionSet
+from .decoder import PredictionSet, check_prediction
 from .tensor import Tensor
-
-PROB_SUM_TOL = 1e-6   # per-record probabilities must sum to 1 within this
 
 
 def write_predictions(path: str,
@@ -71,21 +69,10 @@ def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
         digest = rec.get("scenario_sha256")
         if digest is not None and type(digest) is not str:
             raise ValueError(f"{path}: record {i} scenario_sha256 {digest!r} is not a string")
-        if trajs.ndim != 3 or trajs.shape[-1] != 2:
-            raise ValueError(f"{path}: record {i} trajectories must be [K, T, 2]")
-        if probs.shape != trajs.shape[:1]:
-            raise ValueError(f"{path}: record {i} has {probs.size} probabilities "
-                             f"for {trajs.shape[0]} modes")
-        bad = np.flatnonzero(~(np.isfinite(probs) & (probs >= 0.0)))
-        if bad.size:
-            raise ValueError(f"{path}: record {i} mode {bad[0]} probability "
-                             f"{float(probs[bad[0]])!r} is not finite and non-negative")
-        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"{path}: record {i} probabilities sum to "
-                             f"{float(probs.sum())!r}, not 1")
+        pred = PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs), scenario_sha256=digest)
+        check_prediction(pred, f"{path}: record {i}")
         if (sid, target) in out:
             raise ValueError(f"{path}: record {i} repeats scenario {sid!r} "
                              f"target {target}")
-        out[(sid, target)] = PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs),
-                                           scenario_sha256=digest)
+        out[(sid, target)] = pred
     return out

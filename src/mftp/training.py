@@ -30,6 +30,14 @@ PARAMS_NAME = "params.bin"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
+    """The first name whose array holds a non-finite value, or None; one `isfinite`
+    over all the arrays, and the search by name only when that fails."""
+    if not arrays or np.isfinite(np.concatenate([a.ravel() for a in arrays.values()])).all():
+        return None
+    return next(k for k, a in arrays.items() if not np.isfinite(a).all())
+
+
 class Adam:
     """Adam with bias correction; state is kept per parameter name."""
 
@@ -48,8 +56,8 @@ class Adam:
         """One update of every parameter that has a gradient; a non-finite gradient
         raises before any weight or moment moves."""
         live = [(k, p) for k, p in self.params.items() if p.grad is not None]
-        if live and not np.isfinite(np.concatenate([p.grad.ravel() for _, p in live])).all():
-            bad = next(k for k, p in live if not np.isfinite(p.grad).all())
+        bad = _first_non_finite({k: p.grad for k, p in live})
+        if bad is not None:
             raise ValueError(f"non-finite gradient of {bad}")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
@@ -176,8 +184,12 @@ def _layout(params: dict[str, Tensor]) -> list[dict]:
 
 def save_checkpoint(out_dir: str, model: TrajectoryPredictor, config: Config,
                     step: int) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write `params.bin` and `manifest.json`; a non-finite weight is refused first."""
     params = model.parameters()
+    bad = _first_non_finite({name: p.data for name, p in params.items()})
+    if bad is not None:
+        raise ValueError(f"{out_dir}: parameter {bad!r} holds a non-finite weight")
+    os.makedirs(out_dir, exist_ok=True)
     blob = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
                     for p in params.values())
     manifest = {
@@ -257,8 +269,9 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
             raise ValueError(f"{params_path}: parameter {name!r} needs bytes {lo}..{end}, "
                              f"file has {len(blob)}")
         p.data = np.frombuffer(blob[lo:end], dtype="<f8").reshape(p.shape).astype(np.float64)
-        if not np.isfinite(p.data).all():
-            raise ValueError(f"{params_path}: parameter {name!r} holds a non-finite weight")
+    bad = _first_non_finite({name: p.data for name, p in params.items()})
+    if bad is not None:
+        raise ValueError(f"{params_path}: parameter {bad!r} holds a non-finite weight")
     if len(blob) > end:
         raise ValueError(f"{params_path}: {len(blob) - end} bytes after the last "
                          f"parameter {name!r}")

@@ -692,3 +692,52 @@ def test_train_names_the_config_file_once_in_every_refusal(tmp_path, capsys, tex
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {message}")
     assert err.count(str(bad)) == 1
+
+
+# -- predict refuses a non-finite output ------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy's overflow warnings
+def test_predict_refuses_the_nan_output_of_one_step_at_a_huge_learning_rate(
+        tiny_setup, capsys):
+    """One Adam step moves each weight by about the learning rate: the saved
+    weights are finite, and the model's outputs are NaN."""
+    cfg, _, scn_path, tmp_path = tiny_setup
+    cfg.training.learning_rate, cfg.training.steps = 1e300, 1
+    cfg_path = str(tmp_path / "huge_lr.json")
+    save_config(cfg_path, cfg)
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_path, "--out", run]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p.json"
+    assert main(["predict", "--checkpoint", run, "--scenarios", scn_path,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: scenario 'synthetic-0-0' target 0: mode 0 "
+                                       "probability nan is not finite and non-negative\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy's overflow warnings
+def test_predict_refuses_a_non_finite_trajectory_naming_mode_and_step(tiny_setup, capsys):
+    cfg, _, scn_path, tmp_path = tiny_setup
+    model = TrajectoryPredictor(cfg.model, seed=0)
+    head = model.parameters()["decoder.traj_head.w"]
+    head.data = head.data * 1e308               # finite weights, overflowing offsets
+    ckpt = save_checkpoint(str(tmp_path / "ckpt"), model, cfg, step=0)
+    out = tmp_path / "p.json"
+    assert main(["predict", "--checkpoint", ckpt, "--scenarios", scn_path,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: scenario 'synthetic-0-0' target 0: mode 0 "
+                                       "step 0 of the trajectory is non-finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step, note", [(0, ""), (1, " (non-finite min_fde)")])
+def test_prediction_file_rejects_a_nan_trajectory_value(tmp_path, step, note):
+    rec = _record(target=2)
+    rec["modes"][1]["traj"][step][1] = float("nan")
+    path = _write_doc(tmp_path, [_record(), rec])
+    with pytest.raises(ValueError) as err:
+        load_predictions(path)
+    assert str(err.value) == (f"{path}: record 1 mode 1 step {step} of the trajectory "
+                              f"is non-finite{note}")

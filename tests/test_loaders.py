@@ -394,3 +394,17 @@ def test_per_target_csv_with_a_non_ascii_id_writes_under_an_ascii_locale(tmp_pat
     assert run.returncode == 0, run.stderr
     rows = (tmp_path / "per_target.csv").read_text(encoding="utf-8").splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["szene-ä0", "szene-ä1"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_a_non_finite_weight_and_writes_nothing(tmp_path, value):
+    cfg = _tiny_config()
+    model = TrajectoryPredictor(cfg.model, seed=0)
+    params = list(model.parameters().items())
+    for _, p in (params[3], params[7]):
+        p.data.flat[-1] = value
+    out = tmp_path / "ckpt"
+    with pytest.raises(ValueError) as err:
+        save_checkpoint(str(out), model, cfg, step=0)
+    assert str(err.value) == f"{out}: parameter {params[3][0]!r} holds a non-finite weight"
+    assert not out.exists()

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mftp import data, metrics
+from mftp import model as model_module
 from mftp.config import ModelConfig
 from mftp.data import GenConfig, generate_synthetic
 from mftp.decoder import PredictionSet
@@ -256,3 +258,17 @@ def test_evaluate_model_refuses_a_repeated_id_before_predicting():
     _refuse_to_predict(model)
     with pytest.raises(ValueError, match=f"^scenario id {scenes[0].scenario_id!r} repeats$"):
         evaluate_model(model, twins, k=1)
+
+
+def test_evaluate_model_hashes_each_scene_once(monkeypatch):
+    model, scenes = _tiny_model_and_scenes()
+    hashed = []
+
+    def counting_sha256(s):
+        hashed.append(s.scenario_id)
+        return data.scenario_sha256(s)
+    monkeypatch.setattr(model_module, "scenario_sha256", counting_sha256)
+    monkeypatch.setattr(metrics, "scenario_sha256", counting_sha256)
+    report = evaluate_model(model, scenes, k=2)
+    assert hashed == [s.scenario_id for s in scenes]
+    assert report.n_targets == sum(len(s.targets) for s in scenes)

@@ -1,0 +1,74 @@
+"""Models whose weights are scaled far past anything training makes: one
+module's weights times 10**j, j up to 300, all still finite. `mftp predict`
+must either exit 0 and write a file that `load_predictions` loads with every
+value finite, or exit 2 naming the scenario and target and write no file.
+Any other outcome fails.
+
+CI runs this file under several --hypothesis-seed values, so more scalings
+are tried there than in one local run.
+"""
+
+import contextlib
+import io
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mftp.cli import main
+from mftp.config import Config, DataConfig, ModelConfig, TrainingConfig
+from mftp.data import GenConfig, generate_synthetic, save_scenarios
+from mftp.model import TrajectoryPredictor
+from mftp.prediction_io import load_predictions
+from mftp.training import save_checkpoint
+
+# the tiny config of test_loader_properties.py
+CONFIG = Config(model=ModelConfig(channels=8, d_patch=8, n_heads=2, n_modes=2,
+                                  refine_rounds=1, n_experts=2, t_history=8, t_future=4,
+                                  patch_len=4, granularities=[[2, 1], [8, 8]]),
+                training=TrainingConfig(steps=0, seed=0),
+                data=DataConfig(synthetic=GenConfig(num_scenarios=2, num_agents=2,
+                                                    t_history=8, t_future=4)))
+MODULES = sorted({name.split(".")[0]
+                  for name in TrajectoryPredictor(CONFIG.model, seed=0).parameters()})
+REFUSAL = re.compile(r"error: scenario '(.+)' target (\d+): mode \d+ ")
+
+
+@pytest.fixture(scope="module")
+def scenes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scaled")
+    scenarios = generate_synthetic(CONFIG.data.synthetic, seed=0)
+    save_scenarios(str(root / "scenarios.json"), scenarios)
+    return root, {(s.scenario_id, t) for s in scenarios for t in s.targets}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy's overflow warnings
+@settings(max_examples=100, deadline=None)
+@given(module=st.sampled_from(MODULES), j=st.integers(0, 300))
+def test_predict_on_scaled_weights_writes_finite_records_or_refuses_naming_the_target(
+        scenes, module, j):
+    root, targets = scenes
+    model = TrajectoryPredictor(CONFIG.model, seed=0)
+    for name, p in model.parameters().items():
+        if name.split(".")[0] == module:
+            p.data = p.data * 10.0 ** j
+    ckpt = save_checkpoint(str(root / "ckpt"), model, CONFIG, step=0)
+    out = root / "predictions.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["predict", "--checkpoint", ckpt, "--scenarios",
+                     str(root / "scenarios.json"), "--out", str(out)])
+    if code == 2:
+        refusal = REFUSAL.match(err.getvalue())
+        assert refusal, err.getvalue()
+        assert (refusal[1], int(refusal[2])) in targets
+        assert not out.exists()
+        return
+    assert code == 0, err.getvalue()
+    predictions = load_predictions(str(out))
+    assert set(predictions) == targets
+    for pred in predictions.values():
+        assert np.isfinite(pred.trajs.data).all() and np.isfinite(pred.probs.data).all()
