@@ -54,7 +54,7 @@ def cmd_train(args) -> int:
     config = load_config(args.config) if args.config else Config()
     if args.seed is not None:
         config.training.seed = args.seed
-    result = train(config, out_dir=args.out, log=print)
+    result = train(config, out_dir=args.out, log=print, config_path=args.config)
     if result.last_report is not None:
         print(f"final_total={result.last_report.total!r}")
     return 0

@@ -6,7 +6,8 @@ cross-attend over all agents' embeddings and pass through a feed-forward
 update (the same weights every round). A linear head then emits per-step
 displacements, accumulated into positions, and a classification head scores
 the modes. Modes never attend to each other, so perturbing one mode token
-can only move that mode's trajectory.
+can only move that mode's trajectory. `mode_distances` is the one rule that
+measures a mode against ground truth, for training's winner and every metric.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ def check_prediction(pred: PredictionSet, where: str) -> None:
         endpoint = " (non-finite min_fde)" if step == trajs.shape[1] - 1 else ""
         raise ValueError(f"{where} mode {mode} step {step} of the trajectory is "
                          f"non-finite{endpoint}")
+
+
+def mode_distances(trajs: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """The [..., K, T] L2 distances of trajectories [..., K, T, 2] from ground
+    truth [..., T, 2], step by step."""
+    return np.linalg.norm(trajs - gt[..., None, :, :], axis=-1)
 
 
 @dataclass

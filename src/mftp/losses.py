@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import PredictionSet
+from .decoder import PredictionSet, mode_distances
 from .tensor import Tensor
 
 CORR_EPS = 1e-8        # regularizes patch standard deviations
@@ -96,7 +96,7 @@ def _winners(pred: PredictionSet, gt) -> tuple[Tensor, int | np.ndarray, Tensor]
     if trajs.ndim < 3 or trajs.shape[:-3] + trajs.shape[-2:] != gt.shape:
         raise ValueError(f"winner-take-all loss: prediction {trajs.shape} does not "
                          f"match ground truth {gt.shape}")
-    dists = np.linalg.norm(trajs.data - gt[..., None, :, :], axis=-1).mean(axis=-1)
+    dists = mode_distances(trajs.data, gt).mean(axis=-1)
     best = np.argmin(dists, axis=-1)        # first minimum: ties go to the lowest index
     best = int(best) if best.ndim == 0 else best
     return trajs[_mode_index(best)], best, Tensor(gt)

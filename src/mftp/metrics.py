@@ -4,7 +4,8 @@ All metrics operate on multimodal predictions in the global frame: minimum
 average displacement error over the k most probable modes, minimum final
 displacement error, miss rate against an endpoint threshold, and the
 Brier-style final displacement error that adds (1 - p)^2 for the
-probability p of the endpoint-best mode.
+probability p of the endpoint-best mode. All four read one table per target
+from `decoder.mode_distances`, the distance rule of training's winner too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Scenario, check_target_futures, scenario_sha256
-from .decoder import PredictionSet, check_prediction
+from .decoder import PredictionSet, check_prediction, mode_distances
 from .tensor import Tensor
 
 DEFAULT_MISS_THRESHOLD = 2.0   # meters at the final timestep
@@ -72,44 +73,43 @@ def top_k_modes(pred: PredictionSet, k: int) -> PredictionSet:
     return PredictionSet(trajs=Tensor(trajs[order]), probs=Tensor(probs[order]))
 
 
-def min_ade(pred: PredictionSet, gt: np.ndarray) -> float:
-    """Minimum over modes of the mean L2 distance to ground truth."""
+def _scores(pred: PredictionSet, gt: np.ndarray, where: str,
+            threshold: float = DEFAULT_MISS_THRESHOLD) -> tuple[float, float, float, float]:
+    """(min_ade, min_fde, miss, b_min_fde) of `pred`'s modes from one distance table.
+    Another ground-truth shape or a non-finite min_fde or min_ade (which no threshold
+    would count as a miss) raises ValueError starting with `where`."""
     trajs = pred.trajs.data
     gt = np.asarray(gt, dtype=np.float64)
     if trajs.shape[1:] != gt.shape:
-        raise ValueError(f"min_ade: shapes {trajs.shape[1:]} vs {gt.shape}")
-    d = np.linalg.norm(trajs - gt[None], axis=-1).mean(axis=-1)
-    return float(d.min())
+        raise ValueError(f"{where} shapes {trajs.shape[1:]} vs {gt.shape}")
+    d = mode_distances(trajs, gt)                           # [K, T]
+    best = int(np.argmin(d[:, -1]))                         # the endpoint-best mode
+    fde, ade = float(d[best, -1]), float(d.mean(axis=-1).min())
+    for name, value in (("min_fde", fde), ("min_ade", ade)):
+        if not math.isfinite(value):
+            raise ValueError(f"{where} non-finite {name} {value!r}")
+    return ade, fde, float(fde > threshold), float(fde + (1.0 - pred.probs.data[best]) ** 2)
+
+
+def min_ade(pred: PredictionSet, gt: np.ndarray) -> float:
+    """Minimum over modes of the mean L2 distance to ground truth."""
+    return _scores(pred, gt, "min_ade:")[0]
 
 
 def min_fde(pred: PredictionSet, gt: np.ndarray) -> float:
     """Minimum over modes of the endpoint L2 distance."""
-    trajs = pred.trajs.data
-    gt = np.asarray(gt, dtype=np.float64)
-    d = np.linalg.norm(trajs[:, -1, :] - gt[-1], axis=-1)
-    return float(d.min())
+    return _scores(pred, gt, "min_fde:")[1]
 
 
 def miss(pred: PredictionSet, gt: np.ndarray,
          threshold: float = DEFAULT_MISS_THRESHOLD) -> float:
-    """1.0 when every endpoint lands farther than the threshold, else 0.0.
-
-    A non-finite min_fde raises ValueError: a NaN distance compares as not
-    farther than any threshold and would count as a hit.
-    """
-    d = min_fde(pred, gt)
-    if not math.isfinite(d):
-        raise ValueError(f"miss: non-finite min_fde {d!r}")
-    return 1.0 if d > threshold else 0.0
+    """1.0 when every endpoint lands farther than the threshold, else 0.0."""
+    return _scores(pred, gt, "miss:", threshold)[2]
 
 
 def b_min_fde(pred: PredictionSet, gt: np.ndarray) -> float:
     """min_fde plus (1 - p)^2 for the probability of the endpoint-best mode."""
-    trajs, probs = pred.trajs.data, pred.probs.data
-    gt = np.asarray(gt, dtype=np.float64)
-    d = np.linalg.norm(trajs[:, -1, :] - gt[-1], axis=-1)
-    best = int(np.argmin(d))
-    return float(d[best] + (1.0 - probs[best]) ** 2)
+    return _scores(pred, gt, "b_min_fde:")[3]
 
 
 def _aggregate(rows: list[TargetMetrics], k: int, threshold: float) -> MetricReport:
@@ -127,21 +127,14 @@ def _aggregate(rows: list[TargetMetrics], k: int, threshold: float) -> MetricRep
 
 def score_target(pred: PredictionSet, gt: np.ndarray, k: int, threshold: float,
                  scenario_id: str = "", target: int = 0) -> TargetMetrics:
-    """Metrics of one target's top-k modes; malformed inputs raise ValueError."""
+    """Metrics of one target's top-k modes; each refusal names scenario and target."""
     where = f"scenario {scenario_id!r} target {target}:"
     if pred.trajs.shape[1] != len(gt):
         raise ValueError(f"{where} trajectory has {pred.trajs.shape[1]} steps, "
                          f"ground truth has {len(gt)}")
     check_prediction(pred, where)
-    sub = top_k_modes(pred, k)
-    return TargetMetrics(
-        scenario_id=scenario_id,
-        target=target,
-        min_ade=min_ade(sub, gt),
-        min_fde=min_fde(sub, gt),
-        miss=miss(sub, gt, threshold),
-        b_min_fde=b_min_fde(sub, gt),
-    )
+    return TargetMetrics(scenario_id, target, *_scores(top_k_modes(pred, k), gt, where,
+                                                        threshold))
 
 
 def _check_scoring_args(scenarios: list[Scenario], k: int, threshold: float) -> None:

@@ -128,13 +128,23 @@ def train_step(model: TrajectoryPredictor, optimizer: Adam,
     return report
 
 
-def train(config: Config, out_dir: str | None = None,
-          log=None) -> TrainResult:
-    """Run the full training loop; deterministic given the config seed."""
+def _build_model(config: Config, where: str) -> TrajectoryPredictor:
+    """The untrained model of `config`; one numpy cannot build is refused naming `where`."""
+    try:
+        return TrajectoryPredictor(config.model, seed=config.training.seed)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"{where} describes a model that cannot be built "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
+def train(config: Config, out_dir: str | None = None, log=None,
+          config_path: str | None = None) -> TrainResult:
+    """Run the full training loop; deterministic given the config seed. A refusal
+    of the config's model names `config_path`, the file it came from."""
     config.validate()
     scenarios = load_training_scenarios(config)
     items = build_training_items(scenarios)
-    model = TrajectoryPredictor(config.model, seed=config.training.seed)
+    model = _build_model(config, f"{config_path}: the config" if config_path else "the config")
     optimizer = Adam(model.parameters(), lr=config.training.learning_rate)
 
     result = TrainResult(model=model)
@@ -241,11 +251,7 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
         config.validate()
     except ConfigError as exc:
         raise ValueError(f"{manifest_path}: config {exc}") from None
-    try:
-        model = TrajectoryPredictor(config.model, seed=config.training.seed)
-    except (ValueError, MemoryError) as exc:
-        raise ValueError(f"{manifest_path}: the stored config describes a model that "
-                         f"cannot be built ({type(exc).__name__}: {exc})") from None
+    model = _build_model(config, f"{manifest_path}: the stored config")
     params = model.parameters()
     layout = _layout(params)
     names = [entry["name"] for entry in manifest["params"]]

@@ -694,6 +694,18 @@ def test_train_names_the_config_file_once_in_every_refusal(tmp_path, capsys, tex
     assert err.count(str(bad)) == 1
 
 
+def test_train_names_the_config_file_of_a_model_that_cannot_be_built(tmp_path, capsys):
+    # 10**20 is refused by numpy before anything is allocated
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"model": {"channels": 10**20}, "training": {"steps": 1}}))
+    assert main(["train", "--config", str(big), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {big}: the config describes a model that cannot be built "
+                   f"(ValueError: Maximum allowed dimension exceeded)\n")
+    assert err.count(str(big)) == 1
+    assert not (tmp_path / "run").exists()
+
+
 # -- predict refuses a non-finite output ------------------------------------------
 
 
@@ -730,6 +742,26 @@ def test_predict_refuses_a_non_finite_trajectory_naming_mode_and_step(tiny_setup
     assert capsys.readouterr().err == ("error: scenario 'synthetic-0-0' target 0: mode 0 "
                                        "step 0 of the trajectory is non-finite\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy's overflow warnings
+def test_eval_names_the_target_whose_distance_overflows(tiny_setup, capsys):
+    """Trajectories near 1e306 are finite, so `predict` writes them; their
+    distances to ground truth overflow, and both `eval` paths refuse them."""
+    cfg, _, scn_path, tmp_path = tiny_setup
+    model = TrajectoryPredictor(cfg.model, seed=0)
+    head = model.parameters()["decoder.traj_head.w"]
+    head.data = head.data * 1e306
+    ckpt = save_checkpoint(str(tmp_path / "ckpt"), model, cfg, step=0)
+    out = str(tmp_path / "p.json")
+    assert main(["predict", "--checkpoint", ckpt, "--scenarios", scn_path, "--out", out]) == 0
+    capsys.readouterr()
+    for source in (["--predictions", out], ["--checkpoint", ckpt]):
+        assert main(["eval", *source, "--scenarios", scn_path, "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: scenario 'synthetic-0-0' target 0: ")
+        assert "non-finite min_fde inf" in captured.err
+        assert "min_fde" not in captured.out
 
 
 @pytest.mark.parametrize("step, note", [(0, ""), (1, " (non-finite min_fde)")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mftp.decoder import PredictionSet
+from mftp.metrics import min_ade
 from mftp.losses import (
     LossTerms,
     LossWeights,
@@ -295,3 +296,26 @@ def test_winner_take_all_losses_refuse_a_ground_truth_of_another_shape(loss):
     with pytest.raises(ValueError, match=r"^winner-take-all loss: prediction \(2, 8, 2\) does "
                                          r"not match ground truth \(6, 2\)$"):
         loss(pred, _wavy(t_f=6))
+
+
+def test_the_training_winner_is_the_mode_min_ade_credits():
+    """The winner scores the same minADE alone as all modes do, bit for bit,
+    because training and the metric read one distance table."""
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        b, k, t_f = (int(n) for n in rng.integers(1, 7, size=3))
+        trajs = rng.normal(scale=5.0, size=(b, k, 4 * t_f, 2))
+        gt = rng.normal(scale=5.0, size=(b, 4 * t_f, 2))
+        probs = Tensor(np.full((b, k), 1.0 / k))
+        terms = target_loss(PredictionSet(trajs=Tensor(trajs), probs=probs), gt, patch_len=4)
+        for i, best in enumerate(terms.best_mode.tolist()):
+            assert min_ade(_pred(trajs[i, [best]]), gt[i]) == min_ade(_pred(trajs[i]), gt[i])
+
+
+def test_on_a_tie_the_winner_is_the_lowest_index_min_ade_credits():
+    gt = np.arange(16.0).reshape(8, 2)             # integers: the shifts below are exact
+    shifts = [3.0, -1.0, 1.0, -1.0]                 # modes 1, 2 and 3 tie at distance sqrt(2)
+    trajs = np.stack([gt + s for s in shifts])
+    _, best = regression_loss(_pred(trajs), gt)
+    assert best == 1
+    assert min_ade(_pred(trajs[[best]]), gt) == min_ade(_pred(trajs), gt) == math.sqrt(2.0)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mftp import data, metrics
+from mftp import data, decoder, metrics
 from mftp import model as model_module
 from mftp.config import ModelConfig
 from mftp.data import GenConfig, generate_synthetic
@@ -272,3 +272,38 @@ def test_evaluate_model_hashes_each_scene_once(monkeypatch):
     report = evaluate_model(model, scenes, k=2)
     assert hashed == [s.scenario_id for s in scenes]
     assert report.n_targets == sum(len(s.targets) for s in scenes)
+
+
+def test_evaluate_predictions_reads_one_distance_table_per_target(monkeypatch):
+    model, scenes = _tiny_model_and_scenes()
+    preds = {(s.scenario_id, t): p for s in scenes for t, p in model.predict_scenario(s)}
+    tables = []
+
+    def counting_mode_distances(trajs, gt):
+        tables.append(trajs.shape)
+        return decoder.mode_distances(trajs, gt)
+    monkeypatch.setattr(metrics, "mode_distances", counting_mode_distances)
+    assert evaluate_predictions(preds, scenes, k=2).n_targets == 6
+    assert tables == [(2, 4, 2)] * 6                 # the top 2 modes of each target
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy's overflow warnings
+@pytest.mark.parametrize("metric", [min_ade, min_fde, miss, b_min_fde])
+def test_every_metric_refuses_an_endpoint_distance_that_overflows(metric):
+    traj = np.full((2, 4, 2), 1e200)                     # finite, squares past float64
+    with pytest.raises(ValueError, match=rf"^{metric.__name__}: non-finite min_fde inf$"):
+        metric(_pred(traj), np.zeros((4, 2)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy's overflow warnings
+def test_score_target_names_the_target_of_an_overflowing_distance():
+    with pytest.raises(ValueError, match=r"^scenario 'sc' target 3: non-finite min_fde inf$"):
+        score_target(_pred(np.full((2, 4, 2), 1e200)), np.zeros((4, 2)), 2, 2.0, "sc", 3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy's overflow warnings
+def test_min_ade_refuses_a_distance_that_overflows_before_the_endpoint():
+    traj = np.zeros((1, 4, 2))
+    traj[0, :-1, 0] = 1e200                  # the endpoint distance is 0, the others overflow
+    with pytest.raises(ValueError, match=r"^min_ade: non-finite min_ade inf$"):
+        min_ade(_pred(traj), np.zeros((4, 2)))
