@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import Config, load_config
 from .data import load_scenarios
 from .metrics import DEFAULT_MISS_THRESHOLD, evaluate_model, evaluate_predictions
@@ -87,11 +89,14 @@ def cmd_eval(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        return cmd_eval(args)
+        # Train, predict and eval each refuse a non-finite result by name, so the
+        # overflow numpy meets on the way would only print ahead of that refusal.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "train":
+                return cmd_train(args)
+            if args.command == "predict":
+                return cmd_predict(args)
+            return cmd_eval(args)
     except (ValueError, OSError) as exc:      # ConfigError and ScenarioFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

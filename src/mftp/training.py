@@ -5,6 +5,12 @@ step, config snapshot, a name/shape/offset table and the sha256 of
 `params.bin`) plus `params.bin` with the raw little-endian float64
 parameter buffers, so a reload reproduces forward outputs bit for bit on
 the same platform.
+
+`_layout` is that one parameter table. Adam keeps its moments and its
+gathered gradient flat on it, in the order and at the offsets of
+`params.bin`, with name-keyed views of the moments. The non-finite checks of
+gradients and of saved and loaded weights all read such a flat array
+(`_first_non_finite`).
 """
 
 from __future__ import annotations
@@ -30,46 +36,77 @@ PARAMS_NAME = "params.bin"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
-    """The first name whose array holds a non-finite value, or None; one `isfinite`
-    over all the arrays, and the search by name only when that fails."""
-    if not arrays or np.isfinite(np.concatenate([a.ravel() for a in arrays.values()])).all():
+def _first_non_finite(flat: np.ndarray, table: list[dict]) -> str | None:
+    """The name of the `_layout` entry whose slice of `flat`, a flat array laid out
+    by that table, holds its first non-finite value, or None; one `isfinite` pass,
+    and the search in the offsets only when it fails."""
+    finite = np.isfinite(flat)
+    if finite.all():
         return None
-    return next(k for k, a in arrays.items() if not np.isfinite(a).all())
+    starts = [entry["offset"] // 8 for entry in table]
+    return table[int(np.searchsorted(starts, finite.argmin(), side="right")) - 1]["name"]
+
+
+def _views(flat: np.ndarray, table: list[dict]) -> dict[str, np.ndarray]:
+    """Name-keyed views of `flat`, a flat array laid out by the `_layout` table,
+    each in its parameter's shape."""
+    return {e["name"]: flat[e["offset"] // 8:e["offset"] // 8 + e["count"]].reshape(e["shape"])
+            for e in table}
 
 
 class Adam:
-    """Adam with bias correction; state is kept per parameter name."""
+    """Adam with bias correction. The moments and the gathered gradient lie in
+    flat float64 arrays laid out as `params.bin` is (`_layout`); `m[name]` and
+    `v[name]` are views of a parameter's slice of the moments."""
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._table = _layout(params)
+        size = sum(entry["count"] for entry in self._table)
+        self._m, self._v, self._g = np.zeros(size), np.zeros(size), np.empty(size)
+        self.m, self.v = _views(self._m, self._table), _views(self._v, self._table)
+        self._g_views = list(_views(self._g, self._table).values())
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     def step(self) -> None:
-        """One update of every parameter that has a gradient; a non-finite gradient
-        raises before any weight or moment moves."""
-        live = [(k, p) for k, p in self.params.items() if p.grad is not None]
-        bad = _first_non_finite({k: p.grad for k, p in live})
+        """One update of every parameter that has a gradient, elementwise over the
+        gradients gathered on the table; a non-finite gradient raises before any
+        weight or moment moves. The update covers the whole state when every
+        parameter is live, else the live slices alone, so an idle parameter's
+        moments do not decay."""
+        live = [p.grad is not None for p in self.params.values()]
+        np.concatenate([np.zeros(p.size) if p.grad is None else p.grad.ravel()
+                        for p in self.params.values()], out=self._g)
+        bad = _first_non_finite(self._g, self._table)
         if bad is not None:
             raise ValueError(f"non-finite gradient of {bad}")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for k, p in live:
-            m = self.m[k]
-            v = self.v[k]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * p.grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * p.grad * p.grad
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        at = slice(None) if all(live) else np.repeat(live, [e["count"] for e in self._table])
+        m, v, g = self._m[at], self._v[at], self._g[at]   # views, or the live copies
+        s = (1.0 - ADAM_BETA1) * g
+        m *= ADAM_BETA1
+        m += s
+        np.multiply(1.0 - ADAM_BETA2, g, out=s)
+        s *= g
+        v *= ADAM_BETA2
+        v += s
+        np.divide(m, b1t, out=g)            # g and s are scratch from here on
+        g *= self.lr
+        np.divide(v, b2t, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        g /= s
+        self._m[at], self._v[at], self._g[at] = m, v, g     # no copy when they are views
+        for p, d, on in zip(self.params.values(), self._g_views, live):
+            if on:
+                p.data -= d
 
 
 @dataclass
@@ -196,18 +233,19 @@ def save_checkpoint(out_dir: str, model: TrajectoryPredictor, config: Config,
                     step: int) -> str:
     """Write `params.bin` and `manifest.json`; a non-finite weight is refused first."""
     params = model.parameters()
-    bad = _first_non_finite({name: p.data for name, p in params.items()})
+    table = _layout(params)
+    flat = np.concatenate([p.data.ravel() for p in params.values()]).astype("<f8", copy=False)
+    bad = _first_non_finite(flat, table)
     if bad is not None:
         raise ValueError(f"{out_dir}: parameter {bad!r} holds a non-finite weight")
     os.makedirs(out_dir, exist_ok=True)
-    blob = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-                    for p in params.values())
+    blob = flat.tobytes()
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "dtype": "<f8",
         "step": step,
         "config": config.to_dict(),
-        "params": _layout(params),
+        "params": table,
         "params_sha256": hashlib.sha256(blob).hexdigest(),
     }
     with open(os.path.join(out_dir, PARAMS_NAME), "wb") as fh:
@@ -274,8 +312,9 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
         if end > len(blob):
             raise ValueError(f"{params_path}: parameter {name!r} needs bytes {lo}..{end}, "
                              f"file has {len(blob)}")
-        p.data = np.frombuffer(blob[lo:end], dtype="<f8").reshape(p.shape).astype(np.float64)
-    bad = _first_non_finite({name: p.data for name, p in params.items()})
+        p.data = (np.frombuffer(blob, "<f8", count=own["count"], offset=lo)
+                  .reshape(p.shape).astype(np.float64))
+    bad = _first_non_finite(np.frombuffer(blob, "<f8", count=end // 8), layout)
     if bad is not None:
         raise ValueError(f"{params_path}: parameter {bad!r} holds a non-finite weight")
     if len(blob) > end:

@@ -92,3 +92,20 @@ def brute_b_min_fde(trajs: np.ndarray, probs: np.ndarray, gt: np.ndarray) -> flo
             for k in range(trajs.shape[0])]
     best = int(np.argmin(fdes))
     return fdes[best] + (1.0 - probs[best]) ** 2
+
+
+def adam_reference(weights: dict, grads: dict, m: dict, v: dict, t: int, lr: float) -> int:
+    """One Adam step (beta1 0.9, beta2 0.999, eps 1e-8, bias-corrected), one
+    parameter name at a time, in place on `weights`, `m` and `v`. A name whose
+    gradient is None is skipped: its weights and moments stay as they are.
+    Returns the new step count."""
+    t += 1
+    for name, g in grads.items():
+        if g is None:
+            continue
+        m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+        v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+        m_hat = m[name] / (1.0 - 0.9 ** t)
+        v_hat = v[name] / (1.0 - 0.999 ** t)
+        weights[name] = weights[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return t

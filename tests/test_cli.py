@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mftp
 from mftp import metrics
 from mftp.cli import main
 from mftp.config import Config, ModelConfig, TrainingConfig, DataConfig, save_config
@@ -773,3 +777,37 @@ def test_prediction_file_rejects_a_nan_trajectory_value(tmp_path, step, note):
         load_predictions(path)
     assert str(err.value) == (f"{path}: record 1 mode 1 step {step} of the trajectory "
                               f"is non-finite{note}")
+
+
+# -- the CLI prints the refusal alone ---------------------------------------------
+
+
+def _run_cli(args, cwd):
+    """`python -m mftp.cli` in a fresh process, outside pytest's warning filters."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mftp.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "mftp.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("scale, command, err", [
+    (1e306, "eval", "error: scenario 'synthetic-0-0' target 0: non-finite min_fde inf\n"),
+    (1e308, "predict", "error: scenario 'synthetic-0-0' target 0: mode 0 step 0 of the "
+                       "trajectory is non-finite\n"),
+], ids=["eval-1e306", "predict-1e308"])
+def test_cli_stderr_is_the_refusal_alone_without_numpy_warnings(tiny_setup, scale, command,
+                                                                 err):
+    cfg, _, scn_path, tmp_path = tiny_setup
+    model = TrajectoryPredictor(cfg.model, seed=0)
+    head = model.parameters()["decoder.traj_head.w"]
+    head.data = head.data * scale
+    ckpt = save_checkpoint(str(tmp_path / "ckpt"), model, cfg, step=0)
+    predict = _run_cli(["predict", "--checkpoint", ckpt, "--scenarios", scn_path,
+                        "--out", "p.json"], tmp_path)
+    runs = [predict]
+    if command == "eval":
+        assert (predict.returncode, predict.stderr) == (0, "")
+        runs = [_run_cli(["eval", *source, "--scenarios", scn_path, "--k", "2"], tmp_path)
+                for source in (["--predictions", "p.json"], ["--checkpoint", ckpt])]
+    for run in runs:
+        assert (run.returncode, run.stderr) == (2, err)

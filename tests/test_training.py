@@ -16,6 +16,8 @@ from mftp.training import (
     train_step,
 )
 
+from oracles import adam_reference
+
 
 def _tiny_config(steps=5, **model_overrides):
     model = dict(channels=8, d_patch=8, n_heads=2, n_modes=2, refine_rounds=1,
@@ -386,3 +388,99 @@ def test_one_default_train_step_graph_stays_within_283_nodes(monkeypatch):
     nodes = _record_nodes(monkeypatch)
     train_step(model, optimizer, batch, cfg)
     assert 0 < len(nodes) + len(params) <= 283
+
+
+# -- Adam's flat state against the per-parameter oracle ------------------------------
+
+
+def _oracle_state(params):
+    return ({k: p.data.copy() for k, p in params.items()},
+            {k: np.zeros_like(p.data) for k, p in params.items()},
+            {k: np.zeros_like(p.data) for k, p in params.items()})
+
+
+def _assert_matches_oracle(params, opt, weights, m, v, names=None):
+    for k in names or params:
+        assert np.array_equal(params[k].data, weights[k]), k
+        assert np.array_equal(opt.m[k], m[k]), k
+        assert np.array_equal(opt.v[k], v[k]), k
+
+
+def test_adam_on_25_default_train_steps_is_bitwise_the_per_parameter_update():
+    """A fresh optimizer at step 12 restarts the moments and the step count, as
+    the benchmark's episode reset does."""
+    cfg = Config()
+    items = build_training_items(load_training_scenarios(cfg))
+    model = TrajectoryPredictor(cfg.model, seed=cfg.training.seed)
+    params = model.parameters()
+    for step in range(25):
+        if step in (0, 12):
+            opt = Adam(params, lr=cfg.training.learning_rate)
+            weights, m, v = _oracle_state(params)
+            t = 0
+        batch = [items[i] for i in _batch_indices(step, cfg.training.batch_size, len(items))]
+        train_step(model, opt, batch, cfg)
+        t = adam_reference(weights, {k: p.grad for k, p in params.items()}, m, v, t,
+                           cfg.training.learning_rate)
+        assert opt.t == t
+        _assert_matches_oracle(params, opt, weights, m, v)
+
+
+def _three_params():
+    rng = np.random.default_rng(5)
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True)
+            for name, shape in (("a", (2, 3)), ("b", (4,)), ("c", (3, 1)))}
+
+
+def test_adam_leaves_an_idle_parameter_in_the_middle_of_the_table_alone():
+    params = _three_params()
+    opt = Adam(params, lr=0.1)
+    weights, m, v = _oracle_state(params)
+    rng = np.random.default_rng(6)
+    t = 0
+    for step in range(4):
+        for k, p in params.items():
+            p.grad = None if (k == "b" and step > 0) else rng.normal(size=p.shape)
+        if step == 1:
+            idle = (params["b"].data.copy(), opt.m["b"].copy(), opt.v["b"].copy())
+            assert idle[1].all() and idle[2].all()
+        opt.step()
+        t = adam_reference(weights, {k: p.grad for k, p in params.items()}, m, v, t, 0.1)
+        _assert_matches_oracle(params, opt, weights, m, v, names=["a", "c"])
+    for got, want in zip((params["b"].data, opt.m["b"], opt.v["b"]), idle):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, index, idle", [
+    ("a", -1, None), ("b", 0, None), ("b", -1, None), ("c", 0, None), ("c", 0, "b"),
+], ids=["last-of-a", "first-of-b", "last-of-b", "first-of-c", "first-of-c-after-idle-b"])
+def test_adam_names_the_parameter_of_a_non_finite_gradient_at_a_slice_boundary(
+        name, index, idle):
+    params = _three_params()
+    opt = Adam(params, lr=0.1)
+    for k, p in params.items():
+        p.grad = None if k == idle else np.ones(p.shape)
+    params[name].grad.flat[index] = np.nan
+    with pytest.raises(ValueError, match=f"^non-finite gradient of {name}$"):
+        opt.step()
+    assert opt.t == 0 and not opt.m[name].any()
+
+
+def test_adam_updates_the_array_a_parameter_is_rebound_to_between_steps():
+    """`load_checkpoint` and the benchmark's reset give `p.data` a new array."""
+    params = _three_params()
+    opt = Adam(params, lr=0.1)
+    weights, m, v = _oracle_state(params)
+    t = 0
+    for step in range(3):
+        if step == 2:
+            old = params["b"].data
+            kept = old.copy()
+            params["b"].data = old * 0.5
+            weights["b"] = old * 0.5
+        for p in params.values():
+            p.grad = np.full(p.shape, 0.25 * (step + 1))
+        opt.step()
+        t = adam_reference(weights, {k: p.grad for k, p in params.items()}, m, v, t, 0.1)
+        _assert_matches_oracle(params, opt, weights, m, v)
+    assert np.array_equal(old, kept)
