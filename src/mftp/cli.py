@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import Config, load_config
-from .data import load_scenarios
+from .data import load_scenarios, write_text
 from .metrics import DEFAULT_MISS_THRESHOLD, evaluate_model, evaluate_predictions
 from .prediction_io import load_predictions, write_predictions
 from .training import load_checkpoint, train
@@ -80,8 +80,7 @@ def cmd_eval(args) -> int:
                                 k=args.k, threshold=args.miss_threshold)
     print(report.to_text())
     if args.per_target_csv:
-        with open(args.per_target_csv, "w", encoding="utf-8") as fh:
-            fh.write(report.per_target_csv())
+        write_text(args.per_target_csv, report.per_target_csv())
         print(f"per_target_csv={args.per_target_csv}")
     return 0
 

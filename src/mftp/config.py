@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .data import ConfigError, GenConfig, check_fields, read_json, rule
+from .data import ConfigError, GenConfig, check_fields, read_json, rule, write_text
 from .freq import next_pow2
 from .losses import LossWeights
 
@@ -145,5 +145,4 @@ def load_config(path: str) -> Config:
 
 
 def save_config(path: str, config: Config) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
+    write_text(path, json.dumps(config.to_dict(), indent=2))

@@ -15,13 +15,16 @@ On-disk format (one JSON object per file):
 
 Coordinates are meters; valid is 0 or 1 and marks padded states, whose
 coordinates `normalize` zeroes. A target's future must have no padded step:
-training and scoring refuse one (`check_target_futures`). Every JSON file
-mftp reads goes through `read_json`, as UTF-8 whatever the locale.
+training and scoring refuse one (`check_target_futures`). Every number is a
+JSON int or float (`first_non_number`): a string or a boolean is refused where
+a number is due. Every JSON file mftp reads goes through `read_json`, every
+text file it writes through `write_text`, both as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -102,6 +105,23 @@ def read_json(path: str, error: type[ValueError] = ValueError):
             raise error(f"{path}: not valid JSON ({exc})") from None
 
 
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8 whatever the locale: the one text-file writer.
+    JSON callers pass `json.dumps(doc, ...)`, json.dump's bytes without its streaming encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+JSON_NUMBERS = {int, float}     # a bool has its own type, so it is never a number
+
+
+def first_non_number(values: list) -> int | None:
+    """The index of the first of `values` that is not a JSON number, or None."""
+    if set(map(type, values)) <= JSON_NUMBERS:
+        return None
+    return next(i for i, v in enumerate(values) if type(v) not in JSON_NUMBERS)
+
+
 def check_target_futures(scenarios: list[Scenario]) -> None:
     """Reject a target whose future has a padded step: there is no ground truth
     there to train on or to score against."""
@@ -152,6 +172,11 @@ def _track_from_record(rec: dict, where: str) -> AgentTrack:
     for name, rows in (("history", hist), ("future", fut)):
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ScenarioFormatError(f"{where}: {name} rows must be [x, y, valid]")
+        values = list(itertools.chain.from_iterable(rec[name]))
+        bad = first_non_number(values)
+        if bad is not None:
+            raise ScenarioFormatError(f"{where}, {name} step {bad // 3}: {values[bad]!r} "
+                                      f"is not a number (row {rec[name][bad // 3]})")
     return AgentTrack(history=hist, future=fut)
 
 
@@ -172,12 +197,13 @@ def load_scenarios(path: str) -> list[Scenario]:
             raise ScenarioFormatError(f"{where}: 'agents' and 'targets' must be lists")
         if not all(type(t) is int for t in targets) or len(set(targets)) != len(targets):
             raise ScenarioFormatError(f"{where}: targets {targets} are not distinct integers")
+        raw_dt = rec.get("dt", 0.5)
         try:
-            dt = math.nan if isinstance(rec.get("dt"), bool) else float(rec.get("dt", 0.5))
-        except (TypeError, ValueError, OverflowError):
+            dt = float(raw_dt) if type(raw_dt) in JSON_NUMBERS else math.nan
+        except OverflowError:
             dt = math.nan
         if not (math.isfinite(dt) and dt > 0.0):
-            raise ScenarioFormatError(f"{where}: dt {rec.get('dt')!r} is not finite and positive")
+            raise ScenarioFormatError(f"{where}: dt {raw_dt!r} is not finite and positive")
         s = Scenario(scenario_id=str(rec.get("id", si)), dt=dt,
                      agents=[_track_from_record(a, f"{where}, agent {ai}")
                              for ai, a in enumerate(agents)],
@@ -191,7 +217,7 @@ def load_scenarios(path: str) -> list[Scenario]:
 
 
 def save_scenarios(path: str, scenarios: list[Scenario]) -> None:
-    doc = {"scenarios": [
+    write_text(path, json.dumps({"scenarios": [
         {
             "id": s.scenario_id,
             "dt": s.dt,
@@ -200,9 +226,7 @@ def save_scenarios(path: str, scenarios: list[Scenario]) -> None:
             "targets": list(s.targets),
         }
         for s in scenarios
-    ]}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))     # json.dump's bytes, without its streaming encoder
+    ]}))
 
 
 def scenario_sha256(s: Scenario) -> str:

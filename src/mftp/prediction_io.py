@@ -11,16 +11,19 @@ differently. Loading rejects a file that is not valid UTF-8 JSON, a `predictions
 value that is not a list, a record whose target is not an integer, a
 `scenario_sha256` that is not a string, a record that breaks the prediction
 contract (`decoder.check_prediction`, the owner of the shape, probability and
-finiteness rules), and a record that repeats an earlier (scenario, target) pair.
+finiteness rules), a probability or trajectory value that is not a JSON number
+(`data.first_non_number`: a string or a boolean is refused), and a record that
+repeats an earlier (scenario, target) pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
-from .data import read_json
+from .data import first_non_number, read_json, write_text
 from .decoder import PredictionSet, check_prediction
 from .tensor import Tensor
 
@@ -28,8 +31,7 @@ from .tensor import Tensor
 def write_predictions(path: str,
                       records: list[tuple[str, int, PredictionSet]]) -> None:
     doc = {"predictions": [_record(sid, target, pred) for sid, target, pred in records]}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))     # json.dump's bytes, without its streaming encoder
+    write_text(path, json.dumps(doc))
 
 
 def _record(sid: str, target: int, pred: PredictionSet) -> dict:
@@ -71,6 +73,13 @@ def load_predictions(path: str) -> dict[tuple[str, int], PredictionSet]:
             raise ValueError(f"{path}: record {i} scenario_sha256 {digest!r} is not a string")
         pred = PredictionSet(trajs=Tensor(trajs), probs=Tensor(probs), scenario_sha256=digest)
         check_prediction(pred, f"{path}: record {i}")
+        for k, m in enumerate(modes):           # the contract has fixed each traj's shape
+            values = [m["prob"], *itertools.chain.from_iterable(m["traj"])]
+            bad = first_non_number(values)
+            if bad is not None:
+                what = (f"probability {values[bad]!r} is" if bad == 0 else
+                        f"step {(bad - 1) // 2} of the trajectory holds {values[bad]!r},")
+                raise ValueError(f"{path}: record {i} mode {k} {what} not a number")
         if (sid, target) in out:
             raise ValueError(f"{path}: record {i} repeats scenario {sid!r} "
                              f"target {target}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import Config, ConfigError
 from .data import (Scenario, TargetFrame, check_target_futures, generate_synthetic,
-                   load_scenarios, normalize, read_json)
+                   load_scenarios, normalize, read_json, write_text)
 from .decoder import PredictionSet
 from .losses import LossReport, target_loss, total_loss
 from .model import TrajectoryPredictor, check_horizons
@@ -177,11 +177,19 @@ def _build_model(config: Config, where: str) -> TrajectoryPredictor:
 def train(config: Config, out_dir: str | None = None, log=None,
           config_path: str | None = None) -> TrainResult:
     """Run the full training loop; deterministic given the config seed. A refusal
-    of the config's model names `config_path`, the file it came from."""
+    of the config's synthetic scenes or model names `config_path`, the file it came
+    from."""
     config.validate()
-    scenarios = load_training_scenarios(config)
+    where = f"{config_path}: the config" if config_path else "the config"
+    try:
+        scenarios = load_training_scenarios(config)
+    except (ValueError, MemoryError) as exc:
+        if config.data.scenario_path is not None:       # the scenario file's refusal
+            raise
+        raise ValueError(f"{where}'s data.synthetic cannot be generated "
+                         f"({type(exc).__name__}: {exc})") from None
     items = build_training_items(scenarios)
-    model = _build_model(config, f"{config_path}: the config" if config_path else "the config")
+    model = _build_model(config, where)
     optimizer = Adam(model.parameters(), lr=config.training.learning_rate)
 
     result = TrainResult(model=model)
@@ -207,8 +215,7 @@ def train(config: Config, out_dir: str | None = None, log=None,
 
     if out_dir is not None:
         ckpt = save_checkpoint(out_dir, model, config, config.training.steps)
-        with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.log_lines) + "\n")
+        write_text(os.path.join(out_dir, "train_log.txt"), "\n".join(result.log_lines) + "\n")
         if log is not None:
             log(f"checkpoint={ckpt}")       # path stays out of the stored log
     return result
@@ -250,8 +257,7 @@ def save_checkpoint(out_dir: str, model: TrajectoryPredictor, config: Config,
     }
     with open(os.path.join(out_dir, PARAMS_NAME), "wb") as fh:
         fh.write(blob)
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+    write_text(os.path.join(out_dir, MANIFEST_NAME), json.dumps(manifest, indent=1))
     return out_dir
 
 

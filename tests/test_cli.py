@@ -710,6 +710,20 @@ def test_train_names_the_config_file_of_a_model_that_cannot_be_built(tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["t_history", "t_future"])
+def test_train_names_the_config_file_of_synthetic_scenes_that_cannot_be_generated(
+        tmp_path, capsys, key):
+    # 10**30 steps are refused by numpy's arange before anything is allocated
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"model": {key: 10**30}, "data": {"synthetic": {key: 10**30}},
+                               "training": {"steps": 1}}))
+    assert main(["train", "--config", str(big), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {big}: the config's data.synthetic cannot be generated "
+                   f"(ValueError: Maximum allowed size exceeded)\n")
+    assert not (tmp_path / "run").exists()
+
+
 # -- predict refuses a non-finite output ------------------------------------------
 
 

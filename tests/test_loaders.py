@@ -128,6 +128,46 @@ def test_scenario_file_nested_too_deep_is_refused_naming_it(tmp_path):
     assert str(err.value).startswith(f"{path}: ")
 
 
+NOT_NUMBERS = {
+    "dt-string": (_set_record(dt="0.5"), r"scenario 0 \(id=s0\): dt '0.5' is not finite "
+                                          r"and positive"),
+    "row-of-strings": (_set_agent(history=[[0.0, 0.0, 1.0]] * 3 + [["0.0", "0", "1"]]),
+                       r"scenario 0 \(id=s0\), agent 1, history step 3: '0.0' is not a "
+                       r"number \(row \['0.0', '0', '1'\]\)$"),
+    "row-of-booleans": (_set_agent(future=[[1.0, 0.0, 1.0]] * 5 + [[True, False, True]]),
+                        r"scenario 0 \(id=s0\), agent 1, future step 5: True is not a "
+                        r"number \(row \[True, False, True\]\)$"),
+    "valid-string": (_set_agent(future=[[1.0, 0.0, 1.0], [1.0, 0.0, "1"]] + [[1.0, 0.0, 1.0]] * 4),
+                     r"scenario 0 \(id=s0\), agent 1, future step 1: '1' is not a number"),
+    "padded-null": (_set_agent(history=[[None, 0.0, 0.0]] + [[0.0, 0.0, 1.0]] * 3),
+                    r"scenario 0 \(id=s0\), agent 1, history step 0: None is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_scenario_file_refuses_a_string_boolean_or_null_where_a_number_is_due(tmp_path, case):
+    edit, match = NOT_NUMBERS[case]
+    doc = _scenario_doc()
+    edit(doc)
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioFormatError, match=match) as err:
+        load_scenarios(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_scenario_file_takes_integers_as_numbers(tmp_path):
+    doc = _scenario_doc()
+    doc["scenarios"][0]["dt"] = 1
+    for a in doc["scenarios"][0]["agents"]:
+        a["history"] = [[int(x), int(y), int(v)] for x, y, v in a["history"]]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(doc))
+    s = load_scenarios(str(path))[0]
+    assert s.dt == 1.0 and type(s.dt) is float
+    assert s.agents[1].history.tolist() == [[float(t + 1), 0.0, 1.0] for t in range(4)]
+
+
 # -- prediction files ----------------------------------------------------------
 
 
@@ -150,6 +190,36 @@ def test_prediction_file_refusals_name_the_file(tmp_path, doc, match):
     with pytest.raises(ValueError, match=match) as err:
         load_predictions(str(path))
     assert str(err.value).startswith(f"{path}: ")
+
+
+def _one_mode_record(prob=1.0, traj=((1.0, 2.0), (3.0, 4.0))):
+    return {"predictions": [{"scenario": "s", "target": 0,
+                             "modes": [{"prob": prob, "traj": [list(p) for p in traj]}]}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_one_mode_record(prob="1.0"), "record 0 mode 0 probability '1.0' is not a number"),
+    (_one_mode_record(prob=True), "record 0 mode 0 probability True is not a number"),
+    (_one_mode_record(traj=((1.0, 2.0), ("1", "2"))),
+     "record 0 mode 0 step 1 of the trajectory holds '1', not a number"),
+    (_one_mode_record(traj=((1.0, False), (3.0, 4.0))),
+     "record 0 mode 0 step 0 of the trajectory holds False, not a number"),
+], ids=["prob-string", "prob-bool", "point-of-strings", "coordinate-bool"])
+def test_prediction_file_refuses_a_string_or_boolean_where_a_number_is_due(tmp_path, doc,
+                                                                            message):
+    path = tmp_path / "predictions.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_predictions(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_prediction_file_takes_integers_as_numbers(tmp_path):
+    path = tmp_path / "predictions.json"
+    path.write_text(json.dumps(_one_mode_record(prob=1, traj=((1, 2), (3, 4)))))
+    pred = load_predictions(str(path))[("s", 0)]
+    assert pred.probs.data.tolist() == [1.0]
+    assert pred.trajs.data.tolist() == [[[1.0, 2.0], [3.0, 4.0]]]
 
 
 def test_evaluate_predictions_refuses_a_missing_prediction():

@@ -7,7 +7,10 @@ Inputs: the crowd scenario file (16 scenes of 32 agents with 8 targets,
 generator seed 5) and an untrained default model (seed 5). Each command runs
 as its own `python -m mftp.cli` process on this checkout's src/:
 
-- train: the default config with 3 steps, seed 0 -> params.bin, train_log.txt
+- set-up: the crowd file and the untrained checkpoint's manifest.json, as
+  `save_scenarios` and `save_checkpoint` write them
+- train: the default config with 3 steps, seed 0 -> params.bin, manifest.json,
+  train_log.txt
 - predict: the untrained model on the crowd file -> the prediction file
 - eval: --checkpoint and --predictions, k 1 and 5 -> the printed report and
   the --per-target-csv file
@@ -67,9 +70,10 @@ def digests() -> dict[str, str]:
         with open(os.path.join(work, "train.json"), "w", encoding="utf-8") as fh:
             json.dump({"training": {"steps": 3}}, fh)
 
+        out = {name: _file(work, name) for name in ("crowd.json", "untrained/manifest.json")}
         _mftp(work, "train", "--config", "train.json", "--seed", "0", "--out", "run")
-        out = {f"train/{name}": _file(work, os.path.join("run", name))
-               for name in ("params.bin", "train_log.txt")}
+        out.update((f"train/{name}", _file(work, os.path.join("run", name)))
+                   for name in ("params.bin", "manifest.json", "train_log.txt"))
         _mftp(work, "predict", "--checkpoint", "untrained", "--scenarios", "crowd.json",
               "--out", "predictions.json")
         out["predict/predictions.json"] = _file(work, "predictions.json")
