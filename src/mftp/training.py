@@ -10,7 +10,9 @@ the same platform.
 gathered gradient flat on it, in the order and at the offsets of
 `params.bin`, with name-keyed views of the moments. The non-finite checks of
 gradients and of saved and loaded weights all read such a flat array
-(`_first_non_finite`).
+(`_first_non_finite`). `load_checkpoint` reads `params.bin` into one such
+array, no further than the table reaches, and hands the weights out through
+`_views` once every check has passed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -298,36 +301,35 @@ def load_checkpoint(path: str) -> tuple[TrajectoryPredictor, Config, int]:
     model = _build_model(config, f"{manifest_path}: the stored config")
     params = model.parameters()
     layout = _layout(params)
-    names = [entry["name"] for entry in manifest["params"]]
-    if names != list(params):
-        i = next((i for i, (a, b) in enumerate(zip(names, params)) if a != b),
-                 min(len(names), len(params)))
-        got, want = (repr(n[i]) if i < len(n) else "nothing" for n in (names, list(params)))
-        raise ValueError(f"{manifest_path}: parameter entry {i} is {got}, "
-                         f"where the model has {want}")
-    for entry, own in zip(manifest["params"], layout):
+    for i, (entry, own) in enumerate(zip_longest(manifest["params"], layout)):
+        if entry is None or own is None or entry["name"] != own["name"]:
+            got, want = (repr(e["name"]) if e is not None else "nothing" for e in (entry, own))
+            raise ValueError(f"{manifest_path}: parameter entry {i} is {got}, "
+                             f"where the model has {want}")
         for key in ("shape", "count", "offset"):
-            if entry[key] != own[key]:
+            v = entry[key]
+            if v != own[key] or any(type(n) is not int for n in (v if key == "shape" else [v])):
                 raise ValueError(f"{manifest_path}: parameter {own['name']!r} {key} "
-                                 f"{entry[key]} != {own[key]}")
+                                 f"{v} != {own[key]}")
     params_path = os.path.join(path, PARAMS_NAME)
     with open(params_path, "rb") as fh:
-        blob = fh.read()
-    for (name, p), own in zip(params.items(), layout):
-        lo, end = own["offset"], own["offset"] + 8 * own["count"]
-        if end > len(blob):
-            raise ValueError(f"{params_path}: parameter {name!r} needs bytes {lo}..{end}, "
-                             f"file has {len(blob)}")
-        p.data = (np.frombuffer(blob, "<f8", count=own["count"], offset=lo)
-                  .reshape(p.shape).astype(np.float64))
-    bad = _first_non_finite(np.frombuffer(blob, "<f8", count=end // 8), layout)
+        size = os.fstat(fh.fileno()).st_size       # the table bounds the read
+        for own in layout:
+            lo, end = own["offset"], own["offset"] + 8 * own["count"]
+            if end > size:
+                raise ValueError(f"{params_path}: parameter {own['name']!r} needs bytes "
+                                 f"{lo}..{end}, file has {size}")
+        flat = np.fromfile(fh, "<f8", count=end // 8)
+    bad = _first_non_finite(flat, layout)
     if bad is not None:
         raise ValueError(f"{params_path}: parameter {bad!r} holds a non-finite weight")
-    if len(blob) > end:
-        raise ValueError(f"{params_path}: {len(blob) - end} bytes after the last "
-                         f"parameter {name!r}")
-    digest = hashlib.sha256(blob).hexdigest()
+    if size > end:
+        raise ValueError(f"{params_path}: {size - end} bytes after the last "
+                         f"parameter {own['name']!r}")
+    digest = hashlib.sha256(flat).hexdigest()
     if digest != manifest["params_sha256"]:
         raise ValueError(f"{params_path}: sha256 {digest} is not the manifest's "
                          f"params_sha256 {manifest['params_sha256']!r}")
+    for p, weights in zip(params.values(), _views(flat, layout).values()):
+        p.data = weights
     return model, config, manifest["step"]

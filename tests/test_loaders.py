@@ -262,6 +262,11 @@ def _rename_entry(m):
     m["params"][5]["name"] = "no.such.w"
 
 
+def _retype(name, key, value):
+    """An edit giving entry `name` a `key` equal to the model's, but not a JSON integer."""
+    return lambda m: next(e for e in m["params"] if e["name"] == name).update({key: value})
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda m: m.update(format="mftp-checkpoint-v0"),
      r"unknown checkpoint format 'mftp-checkpoint-v0'"),
@@ -272,6 +277,12 @@ def _rename_entry(m):
     (_rename_entry, r"parameter entry 5 is 'no\.such\.w', where the model has '.+'"),
     (_swap_entries, r"parameter entry 3 is '.+', where the model has '.+'"),
     (lambda m: m.pop("params_sha256"), r"missing manifest keys \['params_sha256'\]"),
+    (_retype("embed.fc1.w", "offset", False), r"parameter 'embed\.fc1\.w' offset False != 0$"),
+    (_retype("embed.fc1.b", "shape", [8.0]),
+     r"parameter 'embed\.fc1\.b' shape \[8\.0\] != \[8\]$"),
+    (_retype("embed.fc1.b", "count", 8.0), r"parameter 'embed\.fc1\.b' count 8\.0 != 8$"),
+    (_retype("granularity0.block.attn.gate.fc2.b", "count", True),
+     r"parameter 'granularity0\.block\.attn\.gate\.fc2\.b' count True != 1$"),
 ])
 def test_checkpoint_manifest_refusals_name_the_manifest(ckpt, edit, match):
     _edit_manifest(ckpt, edit)

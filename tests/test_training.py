@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,23 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + bytes(16))
     with pytest.raises(ValueError, match=r"params\.bin: 16 bytes after the last parameter '.+'"):
         load_checkpoint(out)
+
+
+def test_checkpoint_refuses_a_long_tail_without_reading_it(tmp_path):
+    """The table bounds the read: a sparse 64 MB tail is refused, not loaded."""
+    out = _saved_checkpoint(tmp_path)
+    path = tmp_path / "ckpt" / "params.bin"
+    tail = 64 * 2 ** 20
+    os.truncate(path, path.stat().st_size + tail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"params\.bin: {tail} bytes after the last "
+                                             rf"parameter '.+'"):
+            load_checkpoint(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tail // 16
 
 
 def test_checkpoint_rejects_count_unlike_shape(tmp_path):
